@@ -310,8 +310,10 @@ def critical_transmission(
     any t*, so it never decides convergence): below t* the eavesdropper
     meets or beats the honest detection yield with zero induced error.
     Returns None when the conclusive rate is 0 (no threshold: the
-    protocol is immune to this attack).
+    protocol is immune to this attack).  ``eta_b`` must lie in (0, 1].
     """
+    if not 0.0 < eta_b <= 1.0:
+        raise ParameterError("eta_b must lie in (0, 1]")
     rate = eve_conclusive_rate(source)
     if rate <= 0.0:
         return None
@@ -367,20 +369,39 @@ def _detected_distribution(state: FockVector, bob_basis: str, survival: float):
     return patterns, cum
 
 
-def _sample_patterns(tables, table_idx, bob_basis_idx, draws):
-    """Vectorized categorical sampling from per-(table, basis) CDFs."""
-    dv = np.zeros(len(draws), dtype=np.int64)
-    dh = np.zeros(len(draws), dtype=np.int64)
-    for k, per_basis in enumerate(tables):
-        for b, (patterns, cum) in enumerate(per_basis):
-            mask = (table_idx == k) & (bob_basis_idx == b)
-            if not np.any(mask):
-                continue
-            j = np.searchsorted(cum, draws[mask], side="right")
-            j = np.minimum(j, len(cum) - 1)
-            dv[mask] = patterns[j, 0]
-            dh[mask] = patterns[j, 1]
-    return dv, dh
+# Generator.random returns multiples of 2**-53, so u * 2**53 is an exact
+# integer and cum <= u holds exactly when ceil(cum * 2**53) <= u * 2**53.
+# Table k is offset by k << 53; its last entry, (k + 1) << 53, lies above
+# every draw keyed k and so bounds the search to that table.  The offsets
+# must stay inside int64, which caps the number of tables.
+_DRAW_BITS = 53
+_MAX_TABLES = 1 << (63 - _DRAW_BITS)
+
+
+def _keyed_cdf(cdfs) -> np.ndarray:
+    """One sorted int64 search array over the CDFs ``cdfs[k]``, keyed by k.
+
+    Each CDF's last entry is taken as exactly 1 (a cumulative sum may end
+    a rounding step off), as clamping a per-table search would do.
+    """
+    if len(cdfs) >= _MAX_TABLES:
+        raise ParameterError(f"at most {_MAX_TABLES - 1} sampling tables")
+    parts = []
+    for k, cum in enumerate(cdfs):
+        cum = np.minimum(cum, 1.0)
+        cum[-1] = 1.0
+        parts.append(np.ceil(cum * 2.0**_DRAW_BITS).astype(np.int64) + (k << _DRAW_BITS))
+    return np.concatenate(parts)
+
+
+def _lookup(icdf: np.ndarray, draws: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position in ``icdf`` of each draw's categorical outcome in table ``keys``.
+
+    Equals the table's offset plus searchsorted(cum, u, "right") on its CDF.
+    """
+    q = (draws * 2.0**_DRAW_BITS).astype(np.int64)
+    q += keys.astype(np.int64) << _DRAW_BITS
+    return np.searchsorted(icdf, q, side="right")
 
 
 def run_protocol_monte_carlo(
@@ -395,168 +416,111 @@ def run_protocol_monte_carlo(
     while keeping the always-accepted prepare-and-send flow; the pair
     source instead samples the sender's heralding measurement per pulse
     and skips unaccepted pulses.
+
+    Every categorical draw is one exact lookup in a keyed CDF, and the
+    lookup position alone fixes the pulse's outcome, so the tally is a
+    count per CDF entry.
     """
     source = config.source
-    survival = config.channel.transmission * config.bob_detector_efficiency
     eta_b = config.bob_detector_efficiency
     pdc_flow = signal_catalog is None and source.kind == "pdc"
 
-    # --- precompute per-state detection tables -----------------------
+    # --- sender: the receiver-bound state of each table, and its label
     if pdc_flow:
         singlet = pdc_modified_singlet(source)
-        branch_bits = []
-        branch_accept = []
-        branch_cums = []
-        honest_tables = []  # one per accepted branch, in discovery order
-        branch_table_idx = []
-        for basis in BASES:
+        herald_cdfs, herald_table, states, table_label = [], [], [], []
+        for a, basis in enumerate(BASES):
             outcomes = alice_measure(singlet, basis, source)
             w = np.array([o.bob_state.weight for o in outcomes])
-            cum = np.cumsum(w / w.sum())
-            cum[-1] = 1.0
-            bits = np.full(len(outcomes), -1, dtype=np.int64)
-            accept = np.zeros(len(outcomes), dtype=bool)
-            tidx = np.full(len(outcomes), -1, dtype=np.int64)
-            for i, o in enumerate(outcomes):
-                accept[i] = o.accepted
+            herald_cdfs.append(np.cumsum(w / w.sum()))
+            for o in outcomes:
+                herald_table.append(len(states) if o.accepted else -1)
                 if o.accepted:
-                    bits[i] = o.bit
-                    tidx[i] = len(honest_tables)
-                    honest_tables.append(
-                        [
-                            _detected_distribution(o.bob_state.state, b, survival)
-                            for b in BASES
-                        ]
-                    )
-            branch_bits.append(bits)
-            branch_accept.append(accept)
-            branch_cums.append(cum)
-            branch_table_idx.append(tidx)
-        catalog_states = None
+                    states.append(o.bob_state.state)
+                    table_label.append(2 * a + o.bit)
+        herald_icdf = _keyed_cdf(herald_cdfs)
+        herald_table = np.array(herald_table)  # -1: not accepted
+        table_label = np.array(table_label)
     else:
         catalog = (
             signal_catalog if signal_catalog is not None else signal_states(source)
         )
         if len(catalog) != 4:
             raise ParameterError("signal catalog must hold the four states")
-        catalog_states = catalog
-        honest_tables = [
-            [_detected_distribution(mq.state, b, survival) for b in BASES]
-            for mq in catalog
-        ]
+        states = [mq.state for mq in catalog]
+        table_label = np.arange(4)  # label = 2 * basis + bit
 
     # --- eavesdropper setup ------------------------------------------
     attack_requested = attack.kind == ATTACK_CONCLUSIVE
     conclusive_probs = None
-    resend_tables = None
     if attack_requested:
-        if pdc_flow:
-            ensemble = signal_ensemble(source)
-        else:
-            ensemble = StateEnsemble([mq.state for mq in catalog_states])
+        ensemble = signal_ensemble(source) if pdc_flow else StateEnsemble(states)
         try:
-            povm = usd_povm_equal(ensemble)
+            conclusive_probs = usd_povm_equal(ensemble).conclusive_probabilities
         except NotDiscriminable:
-            povm = None
-        if povm is not None:
-            conclusive_probs = povm.conclusive_probabilities
-            resend_tables = [
-                [
-                    _detected_distribution(
-                        ideal_bb84_state(basis, bit), b, eta_b
-                    )
-                    for b in BASES
-                ]
-                for basis in BASES
-                for bit in (0, 1)
-            ]
+            pass
     attack_unavailable = attack_requested and conclusive_probs is None
+
+    # --- detection tables, keyed 2 * table + receiver basis ----------
+    if conclusive_probs is None:
+        tables_label = table_label
+        tables = [
+            _detected_distribution(s, b, config.channel.transmission * eta_b)
+            for s in states
+            for b in BASES
+        ]
+    else:
+        # the eavesdropper resends the ideal state of the label she
+        # identified, right at the receiver: one table per label
+        tables_label = np.arange(4)
+        tables = [
+            _detected_distribution(ideal_bb84_state(basis, bit), b, eta_b)
+            for basis in BASES
+            for bit in (0, 1)
+            for b in BASES
+        ]
+    icdf = _keyed_cdf([cum for _, cum in tables])
+    # outcome of each entry: detection class (0 none, 1 V only, 2 H only,
+    # 3 double), whether the bases match, and the sender's bit
+    cls = np.concatenate([(p[:, 0] > 0) + 2 * (p[:, 1] > 0) for p, _ in tables])
+    key = np.repeat(np.arange(len(tables)), [len(p) for p, _ in tables])
+    entry_label = tables_label[key // 2]
+    match = (entry_label >> 1) == (key & 1)
+    bit = (entry_label & 1) == 1
 
     # --- pulse loop, chunked -----------------------------------------
     gen = np.random.Generator(np.random.Philox(key=config.seed))
-    n_left = config.n_pulses
+    counts = np.zeros(len(icdf), dtype=np.int64)
     accepted_n = 0
-    detections = 0
-    doubles = 0
-    sifted = 0
-    errors = 0
     eve_conclusive = 0
-    eve_known_sifted = 0
-
+    n_left = config.n_pulses
     while n_left > 0:
         m = min(n_left, _CHUNK)
         n_left -= m
         u = gen.random((m, DRAWS_PER_PULSE))
-        basis_a = (u[:, 0] >= 0.5).astype(np.int64)  # 0: "+", 1: "x"
-        bob_basis = (u[:, 3] >= 0.5).astype(np.int64)
-
+        basis_a = u[:, 0] >= 0.5  # False: "+", True: "x"
         if pdc_flow:
-            accepted = np.zeros(m, dtype=bool)
-            bit_a = np.full(m, -1, dtype=np.int64)
-            table_idx = np.full(m, -1, dtype=np.int64)
-            for b in (0, 1):
-                mask = basis_a == b
-                if not np.any(mask):
-                    continue
-                j = np.searchsorted(branch_cums[b], u[mask, 1], side="right")
-                j = np.minimum(j, len(branch_cums[b]) - 1)
-                accepted[mask] = branch_accept[b][j]
-                bit_a[mask] = branch_bits[b][j]
-                table_idx[mask] = branch_table_idx[b][j]
+            table = herald_table[_lookup(herald_icdf, u[:, 1], basis_a)]
+            accepted = table >= 0
+            u, table = u[accepted], table[accepted]
         else:
-            accepted = np.ones(m, dtype=bool)
-            bit_a = (u[:, 1] >= 0.5).astype(np.int64)
-            table_idx = 2 * basis_a + bit_a
-
-        label = 2 * basis_a + bit_a  # well-defined wherever accepted
-
-        if attack_requested and not attack_unavailable:
+            table = 2 * basis_a + (u[:, 1] >= 0.5)
+        accepted_n += len(table)
+        if conclusive_probs is not None:
             # the measurement is applied to every accepted pulse; with
             # zero cross-talk a conclusive outcome always carries the
-            # true label
-            qs = conclusive_probs[np.clip(table_idx, 0, len(conclusive_probs) - 1)]
-            conclusive = accepted & (u[:, 2] < qs)
-            eve_conclusive += int(conclusive.sum())
-            dv = np.zeros(m, dtype=np.int64)
-            dh = np.zeros(m, dtype=np.int64)
-            if np.any(conclusive):
-                sdv, sdh = _sample_patterns(
-                    resend_tables,
-                    label[conclusive],
-                    bob_basis[conclusive],
-                    u[conclusive, 4],
-                )
-                dv[conclusive] = sdv
-                dh[conclusive] = sdh
-            known = conclusive
-        else:
-            live = accepted
-            dv = np.zeros(m, dtype=np.int64)
-            dh = np.zeros(m, dtype=np.int64)
-            if np.any(live):
-                sdv, sdh = _sample_patterns(
-                    honest_tables, table_idx[live], bob_basis[live], u[live, 4]
-                )
-                dv[live] = sdv
-                dh[live] = sdh
-            known = np.zeros(m, dtype=bool)
+            # true label, and only those pulses reach the receiver
+            conclusive = u[:, 2] < conclusive_probs[table]
+            u, table = u[conclusive], table_label[table[conclusive]]
+            eve_conclusive += len(table)
+        j = _lookup(icdf, u[:, 4], 2 * table + (u[:, 3] >= 0.5))
+        counts += np.bincount(j, minlength=len(icdf))
 
-        clicked_v = dv > 0
-        clicked_h = dh > 0
-        single = accepted & (clicked_v ^ clicked_h)
-        double = accepted & (clicked_v & clicked_h)
-        bob_bit = np.where(clicked_h, 1, 0)
-
-        sift_mask = single & (basis_a == bob_basis)
-        err_mask = sift_mask & (bob_bit != bit_a)
-
-        accepted_n += int(accepted.sum())
-        detections += int(single.sum())
-        doubles += int(double.sum())
-        sifted += int(sift_mask.sum())
-        errors += int(err_mask.sum())
-        eve_known_sifted += int((sift_mask & known).sum())
-
+    single = (cls == 1) | (cls == 2)
+    sift = single & match
+    detections = int(counts[single].sum())
+    sifted = int(counts[sift].sum())
+    errors = int(counts[sift & ((cls == 2) != bit)].sum())
     n = config.n_pulses
     return SimReport(
         pulses_sent=n,
@@ -567,10 +531,10 @@ def run_protocol_monte_carlo(
         sifted_bits=sifted,
         sifted_errors=errors,
         qber=errors / sifted if sifted else 0.0,
-        double_clicks=doubles,
+        double_clicks=int(counts[cls == 3].sum()),
         eve_conclusive_count=eve_conclusive,
         eve_known_fraction_of_sifted=(
-            eve_known_sifted / sifted if sifted else 0.0
+            1.0 if sifted and conclusive_probs is not None else 0.0
         ),
         attack_kind=attack.kind,
         attack_unavailable=attack_unavailable,

@@ -311,6 +311,8 @@ def _cmd_threshold(settings: dict[str, Any], stream) -> int:
     amplitudes = _parse_grid(settings[amp_key], amp_key)
     etas_a = _parse_grid(settings["eta_alice"], "eta-alice")
     etas_b = _parse_grid(settings["eta_bob"], "eta-bob")
+    if not all(0.0 < eta_b <= 1.0 for eta_b in etas_b):
+        raise UsageError("--eta-bob: every value must lie in (0, 1]")
     order = int(settings["order"])
 
     rows: list[dict[str, Any] | Exception] = []
@@ -323,13 +325,11 @@ def _cmd_threshold(settings: dict[str, Any], stream) -> int:
                     rows.append(exc)
 
     fmt = settings["format"]
-    failures = 0
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(THRESHOLD_COLUMNS)
         for row in rows:
             if isinstance(row, Exception):
-                failures += 1
                 writer.writerow(["error"] * len(THRESHOLD_COLUMNS))
                 continue
             writer.writerow(
@@ -340,13 +340,14 @@ def _cmd_threshold(settings: dict[str, Any], stream) -> int:
     else:
         for row in rows:
             if isinstance(row, Exception):
-                failures += 1
                 print(json.dumps({"error": str(row)}, sort_keys=True), file=stream)
                 continue
             print(json.dumps(row, sort_keys=True), file=stream)
-    if failures == len(rows):
+    if all(isinstance(row, Exception) for row in rows):
         print("error: every grid point failed", file=sys.stderr)
-        return 1
+        # a grid of nothing but bad input is a usage error, as it is for
+        # the single-point subcommands
+        return 2 if all(isinstance(row, ParameterError) for row in rows) else 1
     return 0
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockqkd.attack as attack_mod
 from fockqkd.attack import (
@@ -255,6 +257,13 @@ def test_critical_transmission_pdc_has_no_threshold():
     assert critical_transmission(pdc(0.05, eta=0.7)) is None
 
 
+@pytest.mark.parametrize("eta_b", [0.0, -0.5, 1.5, math.nan])
+def test_critical_transmission_rejects_bad_eta_b(eta_b):
+    for source in (wcp(), pdc(0.1)):
+        with pytest.raises(ParameterError):
+            critical_transmission(source, eta_b=eta_b)
+
+
 def test_critical_transmission_saturates_at_one():
     # a detector bad enough that even lossless honest yield drops below
     # the conclusive rate
@@ -366,6 +375,61 @@ def test_mc_chunking_invariance(monkeypatch):
     assert chunked == base
 
 
+# Complete reports recorded once and frozen: the draw layout promises that a
+# (seed, pulse index) pair always sees the same stream positions, so any
+# rewrite of the pulse loop must reproduce these exactly.  Each row is
+# (source, transmission, n_pulses, seed, attack, eta_b, catalog, chunk,
+# report fields in SimReport order).
+_FROZEN_RUNS = [
+    (wcp(0.3), 0.9, 30_000, 1, NO_ATTACK, 1.0, None, None,
+     (30000, 30000, 2523, 0.0841, 0.0841, 1268, 0, 0.0, 23, 0, 0.0,
+      ATTACK_NONE, False)),
+    (wcp(0.3), 3e-3, 200_000, 2, CONCLUSIVE_ATTACK, 1.0, None, None,
+     (200000, 200000, 120, 0.0006, 0.0006, 73, 0, 0.0, 0, 120, 1.0,
+      ATTACK_CONCLUSIVE, False)),
+    (wcp(0.3), 0.5, 30_000, 3, NO_ATTACK, 0.7, None, None,
+     (30000, 30000, 1032, 0.0344, 0.0344, 518, 0, 0.0, 3, 0, 0.0,
+      ATTACK_NONE, False)),
+    (wcp(0.3), 3e-3, 200_000, 4, CONCLUSIVE_ATTACK, 0.7, None, None,
+     (200000, 200000, 104, 0.00052, 0.00052, 59, 0, 0.0, 0, 144, 1.0,
+      ATTACK_CONCLUSIVE, False)),
+    (pdc(0.3), 0.5, 100_000, 5, NO_ATTACK, 1.0, None, None,
+     (100000, 4748, 2359, 0.4968407750631845, 0.02359, 1179, 11,
+      0.009329940627650551, 54, 0, 0.0, ATTACK_NONE, False)),
+    (pdc(0.3, eta=0.8), 0.5, 100_000, 6, NO_ATTACK, 1.0, None, None,
+     (100000, 4542, 1995, 0.4392338177014531, 0.01995, 1027, 15,
+      0.014605647517039922, 52, 0, 0.0, ATTACK_NONE, False)),
+    (pdc(0.3), 0.5, 100_000, 7, CONCLUSIVE_ATTACK, 1.0, None, None,
+     (100000, 4685, 2372, 0.5062966915688367, 0.02372, 1203, 9,
+      0.007481296758104738, 45, 0, 0.0, ATTACK_CONCLUSIVE, True)),
+    (pdc(0.3, eta=0.8), 0.5, 100_000, 8, CONCLUSIVE_ATTACK, 0.9, None, None,
+     (100000, 4551, 1758, 0.3862887277521424, 0.01758, 899, 14,
+      0.01557285873192436, 43, 0, 0.0, ATTACK_CONCLUSIVE, True)),
+    (wcp(), 0.4, 30_000, 9, CONCLUSIVE_ATTACK, 1.0, ideal_signal_states(), None,
+     (30000, 30000, 11783, 0.39276666666666665, 0.39276666666666665, 5972, 0,
+      0.0, 0, 0, 0.0, ATTACK_CONCLUSIVE, True)),
+    (wcp(0.9), 0.2, 4321, 10, CONCLUSIVE_ATTACK, 1.0, None, 1000,
+     (4321, 4321, 112, 0.025919925943068734, 0.025919925943068734, 60, 0,
+      0.0, 0, 112, 1.0, ATTACK_CONCLUSIVE, False)),
+    (pdc(0.3, eta=0.8), 0.7, 4321, 11, NO_ATTACK, 1.0, None, 1000,
+     (4321, 204, 133, 0.6519607843137255, 0.03077991205739412, 65, 0, 0.0, 2,
+      0, 0.0, ATTACK_NONE, False)),
+]
+
+
+def test_mc_reports_frozen_stream(monkeypatch):
+    mismatches = []
+    for i, (source, t, n, seed, attack, eta_b, catalog, chunk, fields) in (
+        enumerate(_FROZEN_RUNS)
+    ):
+        monkeypatch.setattr(attack_mod, "_CHUNK", chunk or attack_mod._CHUNK)
+        rep = run(source, t, n, seed, attack=attack, eta_b=eta_b, catalog=catalog)
+        monkeypatch.undo()
+        if rep != SimReport(*fields):
+            mismatches.append((i, rep))
+    assert mismatches == []
+
+
 def test_mc_eta_b_scales_yield():
     rep_full = run(wcp(), 0.5, 10**5, seed=44)
     rep_half = run(wcp(), 0.5, 10**5, seed=44, eta_b=0.5)
@@ -373,6 +437,68 @@ def test_mc_eta_b_scales_yield():
     sigma = math.sqrt(expected_half / 10**5)
     assert abs(rep_half.detection_yield - expected_half) < 4 * sigma
     assert rep_half.detection_yield < rep_full.detection_yield
+
+
+# ------------------------------------------------- exact CDF lookup
+
+_GRID = 2.0**-53  # Generator.random returns multiples of this
+
+_cum_entry = st.one_of(
+    st.integers(0, 2**53).map(lambda i: i * _GRID),  # on the draw grid
+    st.floats(0.0, 1.0),
+    st.sampled_from([5e-324, 1e-300, 1e-300 + 1e-316, 2.0**-1022, 1.0 - _GRID]),
+)
+# a cumulative sum may end a rounding step off 1; the lookup treats the last
+# entry as exactly 1, which is what clamping the per-table search does
+def _as_cdf(entries_and_last):
+    entries, last = entries_and_last
+    return np.array(sorted(min(x, last) for x in entries) + [last])
+
+
+_cdf = st.tuples(
+    st.lists(_cum_entry, max_size=6),
+    st.sampled_from([1.0, 1.0 - _GRID, 1.0 + 2 * _GRID]),
+).map(_as_cdf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdfs=st.lists(_cdf, min_size=1, max_size=5), seed=st.integers(0, 2**32))
+def test_keyed_cdf_lookup_matches_per_table_search(cdfs, seed):
+    # duplicate one table's first entry to get repeated cum values
+    cdfs[0] = np.concatenate([cdfs[0][:1], cdfs[0]])
+    icdf = attack_mod._keyed_cdf(cdfs)
+    offsets = np.cumsum([0] + [len(c) for c in cdfs])
+    for k, cum in enumerate(cdfs):
+        # boundary draws: 0, the largest draw, and the grid points on
+        # either side of every entry (the entry itself when on the grid)
+        edges = np.concatenate([np.floor(cum / _GRID), np.ceil(cum / _GRID)]) * _GRID
+        draws = np.concatenate([
+            [0.0, 1.0 - _GRID],
+            edges[edges < 1.0],
+            np.random.Generator(np.random.Philox(key=seed)).random(64),
+        ])
+        got = attack_mod._lookup(icdf, draws, np.full(len(draws), k)) - offsets[k]
+        want = np.minimum(np.searchsorted(cum, draws, "right"), len(cum) - 1)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_keyed_cdf_table_limit():
+    one = np.array([1.0])
+    with pytest.raises(ParameterError):
+        attack_mod._keyed_cdf([one] * 1024)
+    icdf = attack_mod._keyed_cdf([one] * 1023)
+    assert np.all(np.diff(icdf) > 0)
+    draws = np.array([0.0, 1.0 - _GRID])
+    assert list(attack_mod._lookup(icdf, draws, np.array([1022, 1022]))) == [1022] * 2
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**32, 2**64 - 1])
+def test_philox_draws_lie_on_the_exact_grid(key):
+    # the exact lookup relies on every draw being a multiple of 2**-53
+    u = np.random.Generator(np.random.Philox(key=key)).random(100_000)
+    scaled = u * 2.0**53
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert u.min() >= 0.0 and u.max() < 1.0
 
 
 def test_sim_report_rejects_inconsistent_counts():

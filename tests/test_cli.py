@@ -12,6 +12,7 @@ import pytest
 
 from fockqkd import cli
 from fockqkd.attack import eve_conclusive_rate, multiphoton_stats
+from fockqkd.discrimination import ConsistencyError
 from fockqkd.sources import SourceParams
 
 HEADER = (
@@ -169,6 +170,52 @@ def test_threshold_grid_is_cross_product(capsys):
     assert len(lines) == 4
     combos = [(ln.split(",")[1], ln.split(",")[4]) for ln in lines]
     assert combos == [("0.2", "1"), ("0.2", "0.5"), ("0.3", "1"), ("0.3", "0.5")]
+
+
+@pytest.mark.parametrize("eta_bob", ["0", "-0.5", "1.5", "nan"])
+def test_threshold_bad_eta_bob_is_usage_error(capsys, eta_bob):
+    rc, out, err = run_cli(
+        ["threshold", "--source", "wcp", "--alpha", "0.3", "--eta-bob", eta_bob],
+        capsys,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "--eta-bob" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "-1"],
+        ["--alpha", "nan"],
+        ["--source", "pdc", "--eta-alice", "0"],
+    ],
+    ids=["alpha-negative", "alpha-nan", "pdc-eta-alice-zero"],
+)
+def test_threshold_grid_of_bad_input_is_usage_error(capsys, argv):
+    rc, out, err = run_cli(["threshold"] + argv, capsys)
+    assert rc == 2
+    assert out.strip().splitlines()[1:] == [",".join(["error"] * 11)]
+    assert "every grid point failed" in err
+
+
+def test_threshold_mixed_grid_keeps_error_rows(capsys):
+    rc, out, _ = run_cli(["threshold", "--alpha", "0.3,-1", "--format", "jsonl"], capsys)
+    assert rc == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert rows[0]["amplitude"] == 0.3
+    assert set(rows[1]) == {"error"}
+
+
+def test_threshold_grid_of_failed_computations_exits_1(capsys, monkeypatch):
+    def fail(*_):
+        raise ConsistencyError("forced")
+
+    monkeypatch.setattr(cli, "_threshold_row", fail)
+    rc, _, err = run_cli(["threshold", "--alpha", "0.2,0.3"], capsys)
+    assert rc == 1
+    assert "every grid point failed" in err
 
 
 # ------------------------------------------------------------ simulate

@@ -19,13 +19,14 @@ results are bitwise reproducible regardless of chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from fockqkd.discrimination import NotDiscriminable, StateEnsemble, usd_povm_equal
-from fockqkd.fock import FockVector, rotate_modes
+from fockqkd.fock import FockVector, binomial_thinning, rotate_modes
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
@@ -34,7 +35,6 @@ from fockqkd.sources import (
     SourceParams,
     alice_measure,
     ideal_bb84_state,
-    pdc_accepted_branches,
     pdc_modified_singlet,
     signal_states,
 )
@@ -146,7 +146,7 @@ class SimReport:
             raise ParameterError("inconsistent simulation counts")
 
 
-# ----------------------------------------------------- analytic yields
+# ---------------------------------------------------- source analysis
 
 
 def _total_photon_distribution(state: FockVector) -> np.ndarray:
@@ -156,29 +156,97 @@ def _total_photon_distribution(state: FockVector) -> np.ndarray:
     return probs / probs.sum()
 
 
-def bob_photon_distribution(source: SourceParams) -> np.ndarray:
+def _usd_conclusive(ensemble: StateEnsemble) -> np.ndarray | None:
+    """Per-state conclusive probabilities of the equal-probability USD,
+    or None when the ensemble admits no unambiguous measurement."""
+    try:
+        return usd_povm_equal(ensemble).conclusive_probabilities
+    except NotDiscriminable:
+        return None
+
+
+@dataclass(frozen=True, eq=False)
+class SourceModel:
+    """What the analytics and the Monte Carlo need from a source (see
+    :func:`analyze`).  ``labels[i]`` is 2·basis + bit of ensemble state i.
+    ``heralding`` holds, per sender basis, every heralding branch weight
+    and its ensemble index (-1: not accepted); it is empty for the weak
+    pulse.  ``photon_distribution`` is that of the receiver-bound state
+    (for the pair source, given acceptance), ``emitted`` that of the whole
+    emitted state.  The arrays are read-only.
+    """
+
+    source: SourceParams
+    ensemble: StateEnsemble
+    labels: np.ndarray
+    heralding: tuple[tuple[np.ndarray, np.ndarray], ...]
+    photon_distribution: np.ndarray
+    emitted: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = [self.labels, self.photon_distribution, self.emitted]
+        for arr in arrays + [a for pair in self.heralding for a in pair]:
+            arr.setflags(write=False)
+
+    @cached_property
+    def conclusive(self) -> np.ndarray | None:
+        """``_usd_conclusive`` of the ensemble, computed on first use."""
+        return _usd_conclusive(self.ensemble)
+
+
+def analyze(source: SourceParams | SourceModel) -> SourceModel:
+    """Analyse a source once; a :class:`SourceModel` is returned unchanged.
+
+    Weak pulse: the four signal states, equal priors.  Pair source: one
+    sender measurement per basis; every accepted branch enters the
+    ensemble with its probability as prior (with perfect sender detectors
+    these are the four heralded states; inefficiency adds misread
+    branches, which only worsens discriminability).
+    """
+    if isinstance(source, SourceModel):
+        return source
+    if source.kind == "wcp":
+        states = [mq.state for mq in signal_states(source)]
+        dist = _total_photon_distribution(states[0])
+        return SourceModel(source, StateEnsemble(states), np.arange(4), (), dist, dist)
+    singlet = pdc_modified_singlet(source)
+    states, weights, labels, heralding = [], [], [], []
+    for a, basis in enumerate(BASES):
+        outcomes = alice_measure(singlet, basis, source)
+        index = []
+        for o in outcomes:
+            index.append(len(states) if o.accepted else -1)
+            if o.accepted:
+                states.append(o.bob_state.state)
+                weights.append(o.bob_state.weight)
+                labels.append(2 * a + o.bit)
+        branch_w = np.array([o.bob_state.weight for o in outcomes])
+        heralding.append((branch_w, np.array(index)))
+    total_w = sum(weights)
+    if total_w == 0.0:
+        raise ParameterError("pair source has no accepted branches")
+    dist = sum(w * _total_photon_distribution(s) for w, s in zip(weights, states))
+    w = np.asarray(weights)
+    return SourceModel(
+        source,
+        StateEnsemble(states, w / w.sum()),
+        np.array(labels),
+        tuple(heralding),
+        dist / total_w,
+        _total_photon_distribution(singlet),
+    )
+
+
+# ----------------------------------------------------- analytic yields
+
+
+def bob_photon_distribution(source: SourceParams | SourceModel) -> np.ndarray:
     """Photon-number distribution of the receiver-bound state.
 
     For the pair source this is conditioned on the sender accepting,
     averaged over bases and branches with their heralding weights.
     """
-    if source.kind == "wcp":
-        from fockqkd.sources import wcp_state
-
-        return _total_photon_distribution(wcp_state(source, "+", 0).state)
-    acc: np.ndarray | None = None
-    total_w = 0.0
-    for basis in BASES:
-        for _, ws in pdc_accepted_branches(source, basis):
-            dist = _total_photon_distribution(ws.state)
-            if acc is None:
-                acc = np.zeros_like(dist)
-            n = min(len(acc), len(dist))
-            acc[:n] += ws.weight * dist[:n]
-            total_w += ws.weight
-    if acc is None or total_w == 0.0:
-        raise ParameterError("pair source has no accepted branches")
-    return acc / total_w
+    return analyze(source).photon_distribution
 
 
 def yield_from_distribution(
@@ -192,7 +260,7 @@ def yield_from_distribution(
 
 
 def honest_yield(
-    source: SourceParams, channel: ChannelModel, eta_b: float = 1.0
+    source: SourceParams | SourceModel, channel: ChannelModel, eta_b: float = 1.0
 ) -> float:
     """Expected per-accepted-pulse detection probability without attack."""
     return yield_from_distribution(
@@ -231,57 +299,37 @@ def photon_stats_from_distribution(distribution) -> PhotonStats:
     return PhotonStats(p0, p1, p_multi, 0.0, conditional_defined=False)
 
 
-def multiphoton_stats(source: SourceParams) -> PhotonStats:
+def multiphoton_stats(source: SourceParams | SourceModel) -> PhotonStats:
     """Emission statistics of the source.
 
     Weak pulse: photon-number distribution of the emitted state.  Pair
     source: pair-number distribution of the raw two-arm emission, with
     the heralded receiver-arm statistics attached as ``accepted``.
     """
-    if source.kind == "wcp":
-        return photon_stats_from_distribution(bob_photon_distribution(source))
-    raw = _total_photon_distribution(pdc_modified_singlet(source))
-    pairs = raw[::2]  # photons always come in pairs: 2n photons = n pairs
-    odd = float(raw[1::2].sum())
-    if odd > 1e-14:
+    model = analyze(source)
+    if model.source.kind == "wcp":
+        return photon_stats_from_distribution(model.photon_distribution)
+    raw = model.emitted
+    if float(raw[1::2].sum()) > 1e-14:
         raise ParameterError("pair-source state has odd-photon amplitudes")
-    primary = photon_stats_from_distribution(pairs)
-    accepted = photon_stats_from_distribution(bob_photon_distribution(source))
-    return PhotonStats(
-        primary.p0,
-        primary.p1,
-        primary.p_multi,
-        primary.p_multi_conditional,
-        primary.conditional_defined,
-        accepted=accepted,
+    # photons always come in pairs: 2n photons = n pairs
+    primary = photon_stats_from_distribution(raw[::2])
+    return replace(
+        primary, accepted=photon_stats_from_distribution(model.photon_distribution)
     )
 
 
 # ------------------------------------------------------ attack analytics
 
 
-def signal_ensemble(source: SourceParams) -> StateEnsemble:
-    """The pure states the eavesdropper must tell apart, with priors.
-
-    Weak pulse: the four signal states, equal priors.  Pair source: every
-    accepted heralding branch of both bases, weighted by its probability
-    (with perfect sender detectors these are the four heralded states;
-    inefficiency adds misread branches, including coinciding states
-    carrying different bits — which only worsens discriminability).
-    """
-    if source.kind == "wcp":
-        return StateEnsemble([mq.state for mq in signal_states(source)])
-    states, weights = [], []
-    for basis in BASES:
-        for _, ws in pdc_accepted_branches(source, basis):
-            states.append(ws.state)
-            weights.append(ws.weight)
-    w = np.asarray(weights)
-    return StateEnsemble(states, w / w.sum())
+def signal_ensemble(source: SourceParams | SourceModel) -> StateEnsemble:
+    """The pure states the eavesdropper must tell apart, with priors
+    (see :func:`analyze`)."""
+    return analyze(source).ensemble
 
 
 def eve_conclusive_rate(
-    source: SourceParams, ensemble: StateEnsemble | None = None
+    source: SourceParams | SourceModel, ensemble: StateEnsemble | None = None
 ) -> float:
     """Per-pulse probability of a conclusive identification.
 
@@ -290,18 +338,17 @@ def eve_conclusive_rate(
     the rate is 0 — the immune case.
     """
     if ensemble is None:
-        ensemble = signal_ensemble(source)
-    try:
-        povm = usd_povm_equal(ensemble)
-    except NotDiscriminable:
+        model = analyze(source)
+        ensemble, conclusive = model.ensemble, model.conclusive
+    else:
+        conclusive = _usd_conclusive(ensemble)
+    if conclusive is None:
         return 0.0
-    return float(
-        np.dot(np.asarray(ensemble.priors), povm.conclusive_probabilities)
-    )
+    return float(np.dot(np.asarray(ensemble.priors), conclusive))
 
 
 def critical_transmission(
-    source: SourceParams, eta_b: float = 1.0
+    source: SourceParams | SourceModel, eta_b: float = 1.0
 ) -> float | None:
     """Largest channel transmission at which the attack stays hidden.
 
@@ -314,10 +361,11 @@ def critical_transmission(
     """
     if not 0.0 < eta_b <= 1.0:
         raise ParameterError("eta_b must lie in (0, 1]")
-    rate = eve_conclusive_rate(source)
+    model = analyze(source)
+    rate = eve_conclusive_rate(model)
     if rate <= 0.0:
         return None
-    dist = bob_photon_distribution(source)
+    dist = model.photon_distribution
     if rate >= yield_from_distribution(dist, 1.0, eta_b):
         return 1.0
     t_star = brentq(
@@ -344,22 +392,10 @@ def _detected_distribution(state: FockVector, bob_basis: str, survival: float):
     rotated = rotate_modes(state, 0, 1, MEASUREMENT_ANGLE[bob_basis])
     nsq = rotated.norm_sq()
     acc: dict[tuple[int, int], float] = {}
-    for (tv, th), amp in rotated.items():
+    for counts, amp in rotated.items():
         w = abs(amp) ** 2 / nsq
-        for dv in range(tv + 1):
-            pv = math.comb(tv, dv) * survival**dv * (1 - survival) ** (tv - dv)
-            if pv == 0.0:
-                continue
-            for dh in range(th + 1):
-                ph = (
-                    math.comb(th, dh)
-                    * survival**dh
-                    * (1 - survival) ** (th - dh)
-                )
-                if ph == 0.0:
-                    continue
-                key = (dv, dh)
-                acc[key] = acc.get(key, 0.0) + w * pv * ph
+        for key, prob in binomial_thinning(counts, survival):
+            acc[key] = acc.get(key, 0.0) + w * prob
     patterns = np.array(sorted(acc), dtype=np.int64)
     probs = np.array([acc[tuple(p)] for p in patterns])
     cum = np.cumsum(probs)
@@ -421,64 +457,30 @@ def run_protocol_monte_carlo(
     lookup position alone fixes the pulse's outcome, so the tally is a
     count per CDF entry.
     """
-    source = config.source
     eta_b = config.bob_detector_efficiency
-    pdc_flow = signal_catalog is None and source.kind == "pdc"
-
-    # --- sender: the receiver-bound state of each table, and its label
-    if pdc_flow:
-        singlet = pdc_modified_singlet(source)
-        herald_cdfs, herald_table, states, table_label = [], [], [], []
-        for a, basis in enumerate(BASES):
-            outcomes = alice_measure(singlet, basis, source)
-            w = np.array([o.bob_state.weight for o in outcomes])
-            herald_cdfs.append(np.cumsum(w / w.sum()))
-            for o in outcomes:
-                herald_table.append(len(states) if o.accepted else -1)
-                if o.accepted:
-                    states.append(o.bob_state.state)
-                    table_label.append(2 * a + o.bit)
-        herald_icdf = _keyed_cdf(herald_cdfs)
-        herald_table = np.array(herald_table)  # -1: not accepted
-        table_label = np.array(table_label)
-    else:
-        catalog = (
-            signal_catalog if signal_catalog is not None else signal_states(source)
-        )
-        if len(catalog) != 4:
-            raise ParameterError("signal catalog must hold the four states")
-        states = [mq.state for mq in catalog]
-        table_label = np.arange(4)  # label = 2 * basis + bit
-
-    # --- eavesdropper setup ------------------------------------------
     attack_requested = attack.kind == ATTACK_CONCLUSIVE
-    conclusive_probs = None
-    if attack_requested:
-        ensemble = signal_ensemble(source) if pdc_flow else StateEnsemble(states)
-        try:
-            conclusive_probs = usd_povm_equal(ensemble).conclusive_probabilities
-        except NotDiscriminable:
-            pass
+    if signal_catalog is None:
+        model = analyze(config.source)
+        ensemble, labels, heralding = model.ensemble, model.labels, model.heralding
+        conclusive_probs = model.conclusive if attack_requested else None
+    else:
+        if len(signal_catalog) != 4:
+            raise ParameterError("signal catalog must hold the four states")
+        ensemble = StateEnsemble([mq.state for mq in signal_catalog])
+        labels, heralding = np.arange(4), ()  # label = 2 * basis + bit
+        conclusive_probs = _usd_conclusive(ensemble) if attack_requested else None
     attack_unavailable = attack_requested and conclusive_probs is None
 
     # --- detection tables, keyed 2 * table + receiver basis ----------
     if conclusive_probs is None:
-        tables_label = table_label
-        tables = [
-            _detected_distribution(s, b, config.channel.transmission * eta_b)
-            for s in states
-            for b in BASES
-        ]
+        sent, survival = ensemble.states, config.channel.transmission * eta_b
+        tables_label = labels
     else:
         # the eavesdropper resends the ideal state of the label she
         # identified, right at the receiver: one table per label
-        tables_label = np.arange(4)
-        tables = [
-            _detected_distribution(ideal_bb84_state(basis, bit), b, eta_b)
-            for basis in BASES
-            for bit in (0, 1)
-            for b in BASES
-        ]
+        sent = [ideal_bb84_state(basis, bit) for basis in BASES for bit in (0, 1)]
+        survival, tables_label = eta_b, np.arange(4)
+    tables = [_detected_distribution(s, b, survival) for s in sent for b in BASES]
     icdf = _keyed_cdf([cum for _, cum in tables])
     # outcome of each entry: detection class (0 none, 1 V only, 2 H only,
     # 3 double), whether the bases match, and the sender's bit
@@ -489,6 +491,9 @@ def run_protocol_monte_carlo(
     bit = (entry_label & 1) == 1
 
     # --- pulse loop, chunked -----------------------------------------
+    if heralding:
+        herald_icdf = _keyed_cdf([np.cumsum(w / w.sum()) for w, _ in heralding])
+        herald_table = np.concatenate([index for _, index in heralding])
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     counts = np.zeros(len(icdf), dtype=np.int64)
     accepted_n = 0
@@ -499,7 +504,7 @@ def run_protocol_monte_carlo(
         n_left -= m
         u = gen.random((m, DRAWS_PER_PULSE))
         basis_a = u[:, 0] >= 0.5  # False: "+", True: "x"
-        if pdc_flow:
+        if heralding:
             table = herald_table[_lookup(herald_icdf, u[:, 1], basis_a)]
             accepted = table >= 0
             u, table = u[accepted], table[accepted]
@@ -511,7 +516,7 @@ def run_protocol_monte_carlo(
             # zero cross-talk a conclusive outcome always carries the
             # true label, and only those pulses reach the receiver
             conclusive = u[:, 2] < conclusive_probs[table]
-            u, table = u[conclusive], table_label[table[conclusive]]
+            u, table = u[conclusive], labels[table[conclusive]]
             eve_conclusive += len(table)
         j = _lookup(icdf, u[:, 4], 2 * table + (u[:, 3] >= 0.5))
         counts += np.bincount(j, minlength=len(icdf))

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 import numpy as np
@@ -28,10 +29,11 @@ import numpy as np
 from fockqkd.attack import (
     ATTACK_CONCLUSIVE,
     ATTACK_NONE,
-    CONCLUSIVE_ATTACK,
-    NO_ATTACK,
+    AttackStrategy,
     ChannelModel,
     ProtocolConfig,
+    SourceModel,
+    analyze,
     critical_transmission,
     eve_conclusive_rate,
     multiphoton_stats,
@@ -82,6 +84,16 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
+# Rules shared by each flag and the config field of the same name.
+_CHOICES: dict[str, tuple] = {
+    "source": ("wcp", "pdc"),
+    "order": (1, 2),
+    "format": ("csv", "jsonl"),
+    "attack": (ATTACK_NONE, ATTACK_CONCLUSIVE),
+}
+_INTEGERS = ("order", "pulses", "seed")
+
+
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
@@ -99,14 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--source", choices=("wcp", "pdc"))
+        p.add_argument("--source", choices=_CHOICES["source"])
         p.add_argument(
             "--alpha", help="weak-pulse amplitude(s), comma-separated for sweeps"
         )
         p.add_argument(
             "--chi", help="pair-source coupling(s), comma-separated for sweeps"
         )
-        p.add_argument("--order", type=int, choices=(1, 2))
+        p.add_argument("--order", type=int, choices=_CHOICES["order"])
         p.add_argument("--eta-alice", dest="eta_alice", help="sender detector efficiency")
         p.add_argument("--eta-bob", dest="eta_bob", help="receiver detector efficiency")
         loss = p.add_mutually_exclusive_group()
@@ -115,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pulses", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"))
+        p.add_argument("--format", choices=_CHOICES["format"])
 
     for name, doc in (
         ("states", "dump the four signal states, Gram matrix, and rank"),
@@ -133,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="use the built-in two-state ensemble with overlap 1/sqrt(2)",
             )
         if name == "simulate":
-            p.add_argument("--attack", choices=(ATTACK_NONE, ATTACK_CONCLUSIVE))
+            p.add_argument("--attack", choices=_CHOICES["attack"])
     return parser
 
 
@@ -150,6 +162,14 @@ def _load_config(path: str) -> dict[str, Any]:
     unknown = sorted(set(data) - set(_DEFAULTS))
     if unknown:
         raise UsageError(f"unknown config fields: {', '.join(unknown)}")
+    for key, value in data.items():
+        if key in _INTEGERS:
+            try:  # the conversion the flag applies to its text
+                value = data[key] = int(str(value))
+            except ValueError:
+                raise UsageError(f"config field {key}: {value!r} is not an integer") from None
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise UsageError(f"config field {key}: {value!r} is not one of {_CHOICES[key]}")
     return data
 
 
@@ -203,7 +223,7 @@ def _source_from_settings(
         return SourceParams(
             kind=kind,
             amplitude=amplitude,
-            expansion_order=int(settings["order"]),
+            expansion_order=settings["order"],
             alice_detector_efficiency=_parse_scalar(
                 settings["eta_alice"], "eta-alice"
             ),
@@ -273,22 +293,16 @@ def _cmd_usd(settings: dict[str, Any], stream) -> int:
     return 0
 
 
-def _threshold_row(kind: str, amplitude: float, order: int,
-                   eta_a: float, eta_b: float) -> dict[str, Any]:
-    params = SourceParams(
-        kind=kind,
-        amplitude=amplitude,
-        expansion_order=order,
-        alice_detector_efficiency=eta_a,
-    )
-    stats = multiphoton_stats(params)
-    rate = eve_conclusive_rate(params)
-    t_star = critical_transmission(params, eta_b=eta_b)
+def _threshold_row(model: SourceModel, eta_b: float) -> dict[str, Any]:
+    params = model.source
+    stats = multiphoton_stats(model)
+    rate = eve_conclusive_rate(model)
+    t_star = critical_transmission(model, eta_b=eta_b)
     row: dict[str, Any] = {
-        "source": kind,
-        "amplitude": amplitude,
-        "order": order,
-        "eta_alice": eta_a,
+        "source": params.kind,
+        "amplitude": params.amplitude,
+        "order": params.expansion_order,
+        "eta_alice": params.alice_detector_efficiency,
         "eta_bob": eta_b,
         "p1": stats.p1,
         "p_multi_cond": stats.p_multi_conditional,
@@ -313,15 +327,21 @@ def _cmd_threshold(settings: dict[str, Any], stream) -> int:
     etas_b = _parse_grid(settings["eta_bob"], "eta-bob")
     if not all(0.0 < eta_b <= 1.0 for eta_b in etas_b):
         raise UsageError("--eta-bob: every value must lie in (0, 1]")
-    order = int(settings["order"])
 
+    failures = (ParameterError, FockError, ConsistencyError)
     rows: list[dict[str, Any] | Exception] = []
     for amplitude in amplitudes:
         for eta_a in etas_a:
+            # one analysis serves every eta_bob of the grid point
+            try:
+                model = analyze(SourceParams(kind, amplitude, settings["order"], eta_a))
+            except failures as exc:
+                rows.extend([exc] * len(etas_b))
+                continue
             for eta_b in etas_b:
                 try:
-                    rows.append(_threshold_row(kind, amplitude, order, eta_a, eta_b))
-                except (ParameterError, FockError, ConsistencyError) as exc:
+                    rows.append(_threshold_row(model, eta_b))
+                except failures as exc:
                     rows.append(exc)
 
     fmt = settings["format"]
@@ -359,14 +379,13 @@ def _cmd_simulate(settings: dict[str, Any], stream) -> int:
         config = ProtocolConfig(
             source=params,
             channel=channel,
-            n_pulses=int(settings["pulses"]),
-            seed=int(settings["seed"]),
+            n_pulses=settings["pulses"],
+            seed=settings["seed"],
             bob_detector_efficiency=_parse_scalar(settings["eta_bob"], "eta-bob"),
         )
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
-    attack = CONCLUSIVE_ATTACK if settings["attack"] == ATTACK_CONCLUSIVE else NO_ATTACK
-    report = run_protocol_monte_carlo(config, attack)
+    report = run_protocol_monte_carlo(config, AttackStrategy(settings["attack"]))
     echo = {
         "source": params.kind,
         ("alpha" if params.kind == "wcp" else "chi"): params.amplitude,
@@ -378,24 +397,7 @@ def _cmd_simulate(settings: dict[str, Any], stream) -> int:
         "seed": config.seed,
         "attack": settings["attack"],
     }
-    doc = {
-        "config": echo,
-        "report": {
-            "pulses_sent": report.pulses_sent,
-            "alice_accepted": report.alice_accepted,
-            "bob_detections": report.bob_detections,
-            "detection_yield": report.detection_yield,
-            "unconditioned_yield": report.unconditioned_yield,
-            "sifted_bits": report.sifted_bits,
-            "sifted_errors": report.sifted_errors,
-            "qber": report.qber,
-            "double_clicks": report.double_clicks,
-            "eve_conclusive_count": report.eve_conclusive_count,
-            "eve_known_fraction_of_sifted": report.eve_known_fraction_of_sifted,
-            "attack_kind": report.attack_kind,
-            "attack_unavailable": report.attack_unavailable,
-        },
-    }
+    doc = {"config": echo, "report": asdict(report)}
     stream.write(json.dumps(doc, sort_keys=True, indent=2))
     stream.write("\n")
     return 0
@@ -416,7 +418,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "simulate": _cmd_simulate,
         }[args.command]
         if settings["out"]:
-            with open(settings["out"], "w", encoding="utf-8", newline="") as fh:
+            try:
+                fh = open(settings["out"], "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise UsageError(f"cannot write {settings['out']}: {exc.strerror}") from exc
+            with fh:
                 return handler(settings, fh)
         return handler(settings, sys.stdout)
     except UsageError as exc:

@@ -161,14 +161,33 @@ def reciprocal_states(ensemble: StateEnsemble) -> list[FockVector]:
     return out
 
 
-def _span_coordinates(ensemble: StateEnsemble):
-    """Orthonormal span basis and each state's coordinates in it."""
+def _span_coordinates(ensemble: StateEnsemble, g: np.ndarray):
+    """Orthonormal span basis, each state's coordinates in it, and the
+    reciprocal-state dyads |psi~_i><psi~_i| in that basis."""
     patterns, a = ambient_matrix(ensemble.states)
     _, svals, vh = np.linalg.svd(a, full_matrices=False)
     r = int(np.sum(svals > SINGULAR_TOL * svals[0]))
     basis = vh[:r]
     coords = a @ basis.conj().T  # (k, r): coords[i, m] = <b_m|psi_i>
-    return patterns, basis, coords
+    recip = np.linalg.inv(g).T @ coords  # rows: reciprocal-state coords
+    return patterns, basis, coords, [np.outer(r_i, r_i.conj()) for r_i in recip]
+
+
+def _assemble_povm(ensemble, patterns, basis, coords, elements) -> UsdPovm:
+    """The measurement with these conclusive elements and the inconclusive rest."""
+    inconclusive = np.eye(coords.shape[1], dtype=complex) - sum(elements)
+    probs = np.array(
+        [float(np.real(c.conj() @ e @ c)) for c, e in zip(coords, elements)]
+    )
+    return UsdPovm(
+        ensemble=ensemble,
+        patterns=patterns,
+        span_basis=basis,
+        conclusive_elements=elements,
+        inconclusive_element=inconclusive,
+        conclusive_probabilities=probs,
+        min_inconclusive_eigenvalue=float(np.linalg.eigvalsh(inconclusive)[0]),
+    )
 
 
 def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
@@ -185,13 +204,12 @@ def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
     g = _require_full_rank(ensemble)
     eigs = np.linalg.eigvalsh(g)
     q = float(eigs[0])
-    patterns, basis, coords = _span_coordinates(ensemble)
+    patterns, basis, coords, dyads = _span_coordinates(ensemble, g)
     if coords.shape[1] != len(ensemble):
         raise NotDiscriminable("span dimension disagrees with Gram rank")
-    recip = np.linalg.inv(g).T @ coords  # rows: reciprocal-state coords
-    elements = tuple(q * np.outer(r_i, r_i.conj()) for r_i in recip)
-    inconclusive = np.eye(coords.shape[1], dtype=complex) - sum(elements)
-    lam = float(np.linalg.eigvalsh(inconclusive)[0])
+    elements = tuple(q * d for d in dyads)
+    povm = _assemble_povm(ensemble, patterns, basis, coords, elements)
+    lam = povm.min_inconclusive_eigenvalue
     # boundary-tightness certificate; the achievable resolution degrades
     # with the conditioning of the Gram inversion
     cond = float(eigs[-1] / eigs[0])
@@ -200,18 +218,7 @@ def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
         raise ConsistencyError(
             f"inconclusive element not at the PSD boundary (min eig {lam:.3e})"
         )
-    probs = np.array(
-        [float(np.real(c.conj() @ e @ c)) for c, e in zip(coords, elements)]
-    )
-    return UsdPovm(
-        ensemble=ensemble,
-        patterns=patterns,
-        span_basis=basis,
-        conclusive_elements=elements,
-        inconclusive_element=inconclusive,
-        conclusive_probabilities=probs,
-        min_inconclusive_eigenvalue=lam,
-    )
+    return povm
 
 
 def usd_povm_weighted(
@@ -233,9 +240,7 @@ def usd_povm_weighted(
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (k,) or np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weights must be non-negative with at least one positive")
-    patterns, basis, coords = _span_coordinates(ensemble)
-    recip = np.linalg.inv(g).T @ coords
-    dyads = [np.outer(r_i, r_i.conj()) for r_i in recip]
+    patterns, basis, coords, dyads = _span_coordinates(ensemble, g)
     weighted_sum = sum(wi * d for wi, d in zip(w, dyads))
     eye = np.eye(coords.shape[1], dtype=complex)
 
@@ -255,22 +260,8 @@ def usd_povm_weighted(
             hi = mid
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
-    c = lo
-    elements = tuple(c * wi * d for wi, d in zip(w, dyads))
-    inconclusive = eye - sum(elements)
-    lam = float(np.linalg.eigvalsh(inconclusive)[0])
-    probs = np.array(
-        [float(np.real(cc.conj() @ e @ cc)) for cc, e in zip(coords, elements)]
-    )
-    return UsdPovm(
-        ensemble=ensemble,
-        patterns=patterns,
-        span_basis=basis,
-        conclusive_elements=elements,
-        inconclusive_element=inconclusive,
-        conclusive_probabilities=probs,
-        min_inconclusive_eigenvalue=lam,
-    )
+    elements = tuple(lo * wi * d for wi, d in zip(w, dyads))
+    return _assemble_povm(ensemble, patterns, basis, coords, elements)
 
 
 def _outcome_probabilities(povm: UsdPovm, state: FockVector) -> np.ndarray:

@@ -20,7 +20,7 @@ basis corresponds to a vertically polarized receiver photon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from fockqkd.fock import (
     Pattern,
     WeightedState,
     all_count_outcomes,
+    binomial_thinning,
     normalize,
     rotate_modes,
 )
@@ -237,9 +238,9 @@ def alice_measure(
 
     Rotates the sender's modes (angle 0 for the rectilinear basis,
     -pi/4 for the diagonal one), enumerates all photon-count outcomes,
-    and — when the sender's detector efficiency is below 1 — splits each
-    true count pattern over the detected patterns it can produce via
-    independent per-photon Bernoulli detection (no dark counts).  A
+    and splits each true count pattern over the detected patterns it can
+    produce by binomial thinning with the sender's detector efficiency
+    (no dark counts; the split is trivial at efficiency 1).  A
     branch is accepted when the detected counts are (1, 0) or (0, 1);
     the heralded bit is 0 for the rotated-H detector and 1 for
     rotated-V.  Branch probabilities sum to 1.
@@ -251,32 +252,19 @@ def alice_measure(
         raise ParameterError("sender measurement expects a 4-mode state")
     if basis not in BASES:
         raise ParameterError(f"basis must be one of {BASES}")
-    eta = params.alice_detector_efficiency
     rotated = rotate_modes(singlet, 0, 1, MEASUREMENT_ANGLE[basis])
     outcomes: list[AliceOutcome] = []
     for true_counts, branch in all_count_outcomes(rotated, (0, 1)):
         if branch.state is None:
             continue
-        tv, th = true_counts
-        if eta == 1.0:
-            detected_split = [((tv, th), 1.0)]
-        else:
-            detected_split = []
-            for dv in range(tv + 1):
-                pv = math.comb(tv, dv) * eta**dv * (1 - eta) ** (tv - dv)
-                for dh in range(th + 1):
-                    ph = math.comb(th, dh) * eta**dh * (1 - eta) ** (th - dh)
-                    detected_split.append(((dv, dh), pv * ph))
-        for detected, split_prob in detected_split:
-            if split_prob == 0.0:
-                continue
-            accepted = detected in SENDER_BIT_FOR_DETECTED
+        split = binomial_thinning(true_counts, params.alice_detector_efficiency)
+        for detected, split_prob in split:
             bit = SENDER_BIT_FOR_DETECTED.get(detected)
             outcomes.append(
                 AliceOutcome(
                     detected=detected,
                     true_counts=true_counts,
-                    accepted=accepted,
+                    accepted=bit is not None,
                     bit=bit,
                     bob_state=WeightedState(branch.state, branch.weight * split_prob),
                 )
@@ -299,21 +287,10 @@ def pdc_qubit(params: SourceParams, basis: str, bit: int) -> ModifiedQubit:
     if params.kind != PDC:
         raise ParameterError("pdc_qubit requires a pdc source")
     _check_basis_bit(basis, bit)
-    perfect = SourceParams(
-        kind=PDC,
-        amplitude=params.amplitude,
-        expansion_order=params.expansion_order,
-        alice_detector_efficiency=1.0,
-    )
-    singlet = pdc_modified_singlet(perfect)
-    for outcome in alice_measure(singlet, basis, perfect):
-        if outcome.accepted and outcome.bit == bit:
-            return ModifiedQubit(
-                basis=basis,
-                bit=bit,
-                state=outcome.bob_state.state,
-                emission_probability=outcome.bob_state.weight,
-            )
+    perfect = replace(params, alice_detector_efficiency=1.0)
+    for branch_bit, ws in pdc_accepted_branches(perfect, basis):
+        if branch_bit == bit:
+            return ModifiedQubit(basis, bit, ws.state, ws.weight)
     raise ParameterError(f"no accepted branch for basis={basis} bit={bit}")
 
 

@@ -25,6 +25,7 @@ from fockqkd.attack import (
     PhotonStats,
     ProtocolConfig,
     SimReport,
+    analyze,
     bob_photon_distribution,
     critical_transmission,
     eve_conclusive_rate,
@@ -206,6 +207,36 @@ def test_signal_ensemble_priors():
     ens_pdc = signal_ensemble(pdc(0.1))
     assert len(ens_pdc) == 4
     assert sum(ens_pdc.priors) == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------- one analysis record
+
+
+@pytest.mark.parametrize(
+    "source",
+    [wcp(order=1), wcp(order=2), pdc(0.1, eta=1.0), pdc(0.1, eta=0.8)],
+    ids=["wcp-1", "wcp-2", "pdc-eta1", "pdc-eta0.8"],
+)
+def test_analysis_record_gives_the_same_numbers(source):
+    model = analyze(source)
+    assert analyze(model) is model
+    assert np.array_equal(bob_photon_distribution(source), bob_photon_distribution(model))
+    channel = ChannelModel(0.3)
+    assert honest_yield(source, channel, 0.7) == honest_yield(model, channel, 0.7)
+    assert multiphoton_stats(source) == multiphoton_stats(model)
+    assert signal_ensemble(source) == signal_ensemble(model)
+    assert eve_conclusive_rate(source) == eve_conclusive_rate(model)
+    for eta_b in (1.0, 0.6):
+        assert critical_transmission(source, eta_b) == critical_transmission(model, eta_b)
+
+
+def test_analysis_record_arrays_are_read_only():
+    model = analyze(pdc(0.1, eta=0.8))
+    assert len(model.heralding) == 2
+    for arr in (model.labels, model.photon_distribution, model.emitted,
+                *model.heralding[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 # ---------------------------------------------- critical transmission

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import fockqkd.sources as sources_mod
 from fockqkd import cli
 from fockqkd.attack import eve_conclusive_rate, multiphoton_stats
 from fockqkd.discrimination import ConsistencyError
@@ -218,7 +219,50 @@ def test_threshold_grid_of_failed_computations_exits_1(capsys, monkeypatch):
     assert "every grid point failed" in err
 
 
+def count_calls(monkeypatch, *names):
+    """Count calls of the ``fockqkd.sources`` functions ``names``, rebinding
+    each in every fockqkd module that imported it."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.startswith("fockqkd.")]
+    for name in names:
+        fn = getattr(sources_mod, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_threshold_analyses_each_pair_source_once(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, "alice_measure", "pdc_modified_singlet")
+    rc, out, _ = run_cli(
+        ["threshold", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8",
+         "--eta-bob", "1,0.8,0.5"],
+        capsys,
+    )
+    assert rc == 0
+    assert len(out.strip().splitlines()) == 4
+    # one sender measurement per basis on one pair state serves all three rows
+    assert counts == {"alice_measure": 2, "pdc_modified_singlet": 1}
+
+
 # ------------------------------------------------------------ simulate
+
+
+def test_attacked_pair_source_simulate_measures_once(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, "alice_measure")
+    rc = simulate_to(
+        tmp_path / "r.json",
+        ["--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8", "--pulses", "2000",
+         "--attack", "intercept_resend_conclusive"],
+    )
+    assert rc == 0
+    assert json.loads((tmp_path / "r.json").read_text())["report"]["attack_unavailable"]
+    assert counts == {"alice_measure": 2}
 
 
 def simulate_to(path, extra):
@@ -299,6 +343,49 @@ def test_simulate_unknown_config_field_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(["simulate", "--config", str(bad)], capsys)
     assert rc == 2
     assert "voltage" in err
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("threshold", {"order": "abc"}),
+        ("simulate", {"pulses": None}),
+        ("simulate", {"pulses": "1e3"}),
+        ("simulate", {"seed": 1.7}),
+        ("threshold", {"format": "xml"}),
+        ("simulate", {"attack": "foo"}),
+    ],
+    ids=["order-abc", "pulses-null", "pulses-1e3", "seed-1.7", "format-xml", "attack-foo"],
+)
+def test_config_values_get_the_flag_checks(tmp_path, capsys, command, field):
+    # each of these crashed with a traceback or ran with a silently
+    # replaced value; the same value as a flag is rejected by the parser
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(field))
+    rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert rc == 2
+    assert out == ""
+    (key,) = field
+    assert err.startswith(f"error: config field {key}: ")
+    assert "Traceback" not in err
+
+
+def test_config_integers_accept_what_the_flag_accepts(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulses": "2000", "seed": 3, "order": 1}))
+    rc, out, _ = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert rc == 0
+    echo = json.loads(out)["config"]
+    assert (echo["pulses"], echo["seed"], echo["order"]) == (2000, 3, 1)
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(["threshold", "--out", str(target)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_console_entry_point_runs():

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fockqkd.fock import (
@@ -18,6 +20,7 @@ from fockqkd.fock import (
     NearZeroVector,
     all_count_outcomes,
     apply_loss,
+    binomial_thinning,
     inner_product,
     normalize,
     project_counts,
@@ -354,3 +357,59 @@ def test_dump_lines_sorted_and_tab_separated():
     fields = lines[0].split("\t")
     assert len(fields) == 3
     assert float(fields[1]) == pytest.approx(-0.25)
+
+
+# ------------------------------------------------- binomial thinning
+
+
+def test_thinning_small_case_by_hand():
+    # mode 0 keeps 0/1/2 of 2 photons w.p. 1/4, 1/2, 1/4; mode 1 keeps 0/1
+    # of 1 photon w.p. 1/2 each; patterns come in lexicographic order
+    assert binomial_thinning((2, 1), 0.5) == [
+        ((0, 0), 0.125), ((0, 1), 0.125), ((1, 0), 0.25),
+        ((1, 1), 0.25), ((2, 0), 0.125), ((2, 1), 0.125),
+    ]
+    assert binomial_thinning((3, 0), 0.0) == [((0, 0), 1.0)]
+
+
+@pytest.mark.parametrize("keep", [-0.1, 1.5, math.nan])
+def test_thinning_rejects_bad_survival(keep):
+    with pytest.raises(FockError):
+        binomial_thinning((1, 1), keep)
+
+
+_counts = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple)
+_keep = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=_counts, keep=_keep)
+def test_thinning_is_a_distribution_with_binomial_means(counts, keep):
+    split = binomial_thinning(counts, keep)
+    assert abs(sum(p for _, p in split) - 1.0) <= 1e-12
+    for m, n in enumerate(counts):
+        mean = sum(pattern[m] * p for pattern, p in split)
+        assert mean == pytest.approx(keep * n, rel=1e-12, abs=1e-12)
+    for pattern, p in split:
+        assert p > 0.0
+        assert all(0 <= d <= n for d, n in zip(pattern, counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=_counts)
+def test_thinning_keep_one_is_the_identity(counts):
+    assert binomial_thinning(counts, 1.0) == [(counts, 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=_counts, p1=_keep, p2=_keep)
+def test_thinning_composes(counts, p1, p2):
+    twice: dict = {}
+    for mid, pa in binomial_thinning(counts, p1):
+        for out, pb in binomial_thinning(mid, p2):
+            twice[out] = twice.get(out, 0.0) + pa * pb
+    once = dict(binomial_thinning(counts, p1 * p2))
+    for pattern in set(twice) | set(once):
+        assert twice.get(pattern, 0.0) == pytest.approx(
+            once.get(pattern, 0.0), abs=1e-12
+        )

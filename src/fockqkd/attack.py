@@ -10,6 +10,11 @@ computes honest detection yields, photon-number statistics, the
 per-pulse conclusive rate, and the critical transmission below which
 the attack reproduces the honest yield with zero induced error.
 
+Every source enters through :func:`analyze`, which builds one
+:class:`SourceModel` for the analytics and the Monte Carlo to share: the
+weak pulse, the pair source, and an explicit four-state catalog such as
+the ideal single-photon one the realistic sources are judged against.
+
 Randomness: a counter-based generator (Philox) keyed by the
 configuration seed, consuming a fixed block of draws per pulse, so any
 pulse's sub-stream is a pure function of (seed, pulse index) and
@@ -57,19 +62,15 @@ class ChannelModel:
     """Pure-loss channel: each photon survives with probability ``transmission``."""
 
     transmission: float
-    loss_db: float | None = None
 
     def __post_init__(self) -> None:
-        t = self.transmission
-        if not 0.0 <= t <= 1.0:
+        if not 0.0 <= self.transmission <= 1.0:
             raise ParameterError("transmission must lie in [0, 1]")
-        db = math.inf if t == 0.0 else 10.0 * math.log10(1.0 / t)
-        if self.loss_db is None:
-            object.__setattr__(self, "loss_db", db)
-        elif not math.isclose(self.loss_db, db, rel_tol=0.0, abs_tol=1e-9):
-            raise ParameterError(
-                f"loss_db={self.loss_db} inconsistent with transmission={t}"
-            )
+
+    @property
+    def loss_db(self) -> float:
+        t = self.transmission
+        return math.inf if t == 0.0 else 10.0 * math.log10(1.0 / t)
 
     @classmethod
     def from_loss_db(cls, loss_db: float) -> "ChannelModel":
@@ -94,7 +95,7 @@ CONCLUSIVE_ATTACK = AttackStrategy(ATTACK_CONCLUSIVE)
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    source: SourceParams
+    source: SourceParams | SourceModel
     channel: ChannelModel
     n_pulses: int
     seed: int
@@ -156,27 +157,19 @@ def _total_photon_distribution(state: FockVector) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _usd_conclusive(ensemble: StateEnsemble) -> np.ndarray | None:
-    """Per-state conclusive probabilities of the equal-probability USD,
-    or None when the ensemble admits no unambiguous measurement."""
-    try:
-        return usd_povm_equal(ensemble).conclusive_probabilities
-    except NotDiscriminable:
-        return None
-
-
 @dataclass(frozen=True, eq=False)
 class SourceModel:
     """What the analytics and the Monte Carlo need from a source (see
-    :func:`analyze`).  ``labels[i]`` is 2·basis + bit of ensemble state i.
-    ``heralding`` holds, per sender basis, every heralding branch weight
-    and its ensemble index (-1: not accepted); it is empty for the weak
-    pulse.  ``photon_distribution`` is that of the receiver-bound state
-    (for the pair source, given acceptance), ``emitted`` that of the whole
-    emitted state.  The arrays are read-only.
+    :func:`analyze`).  ``source`` is None for an explicit catalog.
+    ``labels[i]`` is 2·basis + bit of ensemble state i.  ``heralding``
+    holds, per sender basis, every heralding branch weight and its
+    ensemble index (-1: not accepted); it is empty when every pulse is
+    sent as prepared.  ``photon_distribution`` is that of the
+    receiver-bound state (for the pair source, given acceptance),
+    ``emitted`` that of the whole emitted state.  The arrays are read-only.
     """
 
-    source: SourceParams
+    source: SourceParams | None
     ensemble: StateEnsemble
     labels: np.ndarray
     heralding: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -190,25 +183,38 @@ class SourceModel:
 
     @cached_property
     def conclusive(self) -> np.ndarray | None:
-        """``_usd_conclusive`` of the ensemble, computed on first use."""
-        return _usd_conclusive(self.ensemble)
+        """Per-state conclusive probabilities of the equal-probability USD,
+        or None when the ensemble admits no unambiguous measurement;
+        computed on first use."""
+        try:
+            return usd_povm_equal(self.ensemble).conclusive_probabilities
+        except NotDiscriminable:
+            return None
 
 
-def analyze(source: SourceParams | SourceModel) -> SourceModel:
+def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceModel:
     """Analyse a source once; a :class:`SourceModel` is returned unchanged.
 
-    Weak pulse: the four signal states, equal priors.  Pair source: one
-    sender measurement per basis; every accepted branch enters the
-    ensemble with its probability as prior (with perfect sender detectors
-    these are the four heralded states; inefficiency adds misread
-    branches, which only worsens discriminability).
+    Weak pulse, or an explicit four-state catalog in the order (+0, +1,
+    x0, x1) such as :func:`~fockqkd.sources.ideal_signal_states`: the four
+    states with equal priors, every pulse sent as prepared.  The four
+    share one photon-number distribution (polarization does not change
+    photon number), read from the first.  Pair source: one sender
+    measurement per basis; every accepted branch enters the ensemble with
+    its probability as prior (with perfect sender detectors these are the
+    four heralded states; inefficiency adds misread branches, which only
+    worsens discriminability).
     """
     if isinstance(source, SourceModel):
         return source
-    if source.kind == "wcp":
-        states = [mq.state for mq in signal_states(source)]
+    params = source if isinstance(source, SourceParams) else None
+    if params is None or params.kind == "wcp":
+        catalog = source if params is None else signal_states(params)
+        if len(catalog) != 4:
+            raise ParameterError("signal catalog must hold the four states")
+        states = [mq.state for mq in catalog]
         dist = _total_photon_distribution(states[0])
-        return SourceModel(source, StateEnsemble(states), np.arange(4), (), dist, dist)
+        return SourceModel(params, StateEnsemble(states), np.arange(4), (), dist, dist)
     singlet = pdc_modified_singlet(source)
     states, weights, labels, heralding = [], [], [], []
     for a, basis in enumerate(BASES):
@@ -302,12 +308,13 @@ def photon_stats_from_distribution(distribution) -> PhotonStats:
 def multiphoton_stats(source: SourceParams | SourceModel) -> PhotonStats:
     """Emission statistics of the source.
 
-    Weak pulse: photon-number distribution of the emitted state.  Pair
-    source: pair-number distribution of the raw two-arm emission, with
-    the heralded receiver-arm statistics attached as ``accepted``.
+    Without heralding (weak pulse, explicit catalog): photon-number
+    distribution of the emitted state.  Pair source: pair-number
+    distribution of the raw two-arm emission, with the heralded
+    receiver-arm statistics attached as ``accepted``.
     """
     model = analyze(source)
-    if model.source.kind == "wcp":
+    if not model.heralding:
         return photon_stats_from_distribution(model.photon_distribution)
     raw = model.emitted
     if float(raw[1::2].sum()) > 1e-14:
@@ -328,23 +335,17 @@ def signal_ensemble(source: SourceParams | SourceModel) -> StateEnsemble:
     return analyze(source).ensemble
 
 
-def eve_conclusive_rate(
-    source: SourceParams | SourceModel, ensemble: StateEnsemble | None = None
-) -> float:
+def eve_conclusive_rate(source: SourceParams | SourceModel) -> float:
     """Per-pulse probability of a conclusive identification.
 
     Uses the equal-probability unambiguous measurement averaged over the
     priors.  A linearly dependent catalog admits no such measurement, so
     the rate is 0 — the immune case.
     """
-    if ensemble is None:
-        model = analyze(source)
-        ensemble, conclusive = model.ensemble, model.conclusive
-    else:
-        conclusive = _usd_conclusive(ensemble)
-    if conclusive is None:
+    model = analyze(source)
+    if model.conclusive is None:
         return 0.0
-    return float(np.dot(np.asarray(ensemble.priors), conclusive))
+    return float(np.dot(np.asarray(model.ensemble.priors), model.conclusive))
 
 
 def critical_transmission(
@@ -441,17 +442,14 @@ def _lookup(icdf: np.ndarray, draws: np.ndarray, keys: np.ndarray) -> np.ndarray
 
 
 def run_protocol_monte_carlo(
-    config: ProtocolConfig,
-    attack: AttackStrategy = NO_ATTACK,
-    signal_catalog: list[ModifiedQubit] | None = None,
+    config: ProtocolConfig, attack: AttackStrategy = NO_ATTACK
 ) -> SimReport:
     """Simulate the full protocol pulse by pulse.
 
-    ``signal_catalog`` optionally replaces the source's four-state
-    catalog with explicit states (e.g. the ideal single-photon catalog)
-    while keeping the always-accepted prepare-and-send flow; the pair
-    source instead samples the sender's heralding measurement per pulse
-    and skips unaccepted pulses.
+    The source is analysed once (see :func:`analyze`; an explicit catalog
+    enters as ``analyze(catalog)``).  A source without heralding sends
+    every pulse as prepared; the pair source samples the sender's
+    heralding measurement per pulse and skips unaccepted pulses.
 
     Every categorical draw is one exact lookup in a keyed CDF, and the
     lookup position alone fixes the pulse's outcome, so the tally is a
@@ -459,21 +457,14 @@ def run_protocol_monte_carlo(
     """
     eta_b = config.bob_detector_efficiency
     attack_requested = attack.kind == ATTACK_CONCLUSIVE
-    if signal_catalog is None:
-        model = analyze(config.source)
-        ensemble, labels, heralding = model.ensemble, model.labels, model.heralding
-        conclusive_probs = model.conclusive if attack_requested else None
-    else:
-        if len(signal_catalog) != 4:
-            raise ParameterError("signal catalog must hold the four states")
-        ensemble = StateEnsemble([mq.state for mq in signal_catalog])
-        labels, heralding = np.arange(4), ()  # label = 2 * basis + bit
-        conclusive_probs = _usd_conclusive(ensemble) if attack_requested else None
+    model = analyze(config.source)
+    labels, heralding = model.labels, model.heralding
+    conclusive_probs = model.conclusive if attack_requested else None
     attack_unavailable = attack_requested and conclusive_probs is None
 
     # --- detection tables, keyed 2 * table + receiver basis ----------
     if conclusive_probs is None:
-        sent, survival = ensemble.states, config.channel.transmission * eta_b
+        sent, survival = model.ensemble.states, config.channel.transmission * eta_b
         tables_label = labels
     else:
         # the eavesdropper resends the ideal state of the label she

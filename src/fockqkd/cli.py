@@ -92,6 +92,9 @@ _CHOICES: dict[str, tuple] = {
     "attack": (ATTACK_NONE, ATTACK_CONCLUSIVE),
 }
 _INTEGERS = ("order", "pulses", "seed")
+# Fields read as a number or a grid of numbers; JSON true/false are not
+# numbers here, although Python's float() would take them as 1 and 0.
+_NUMBERS = ("alpha", "chi", "eta_alice", "eta_bob", "transmission", "loss_db")
 
 
 class UsageError(Exception):
@@ -170,21 +173,37 @@ def _load_config(path: str) -> dict[str, Any]:
                 raise UsageError(f"config field {key}: {value!r} is not an integer") from None
         if key in _CHOICES and value not in _CHOICES[key]:
             raise UsageError(f"config field {key}: {value!r} is not one of {_CHOICES[key]}")
+        items = value if isinstance(value, list) else [value]
+        if key in _NUMBERS and any(isinstance(x, bool) for x in items):
+            raise UsageError(f"config field {key}: {value!r} is not a number")
+        if key == "out" and not isinstance(value, str):
+            raise UsageError(f"config field out: {value!r} is not a string")
+        if key == "toy" and not isinstance(value, bool):
+            raise UsageError(f"config field toy: {value!r} is not true or false")
+    if "transmission" in data and "loss_db" in data:
+        raise UsageError("config fields transmission and loss_db exclude each other")
     return data
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags.
+
+    Channel loss is one setting given as either ``transmission`` or
+    ``loss_db``, so an explicit flag for one replaces a config value of
+    the other.
+    """
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
         settings.update(_load_config(args.config))
+    if getattr(args, "transmission", None) is not None:
+        settings["loss_db"] = None
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if getattr(args, "loss_db", None) is not None:
+    if settings["loss_db"] is not None:
         settings["transmission"] = ChannelModel.from_loss_db(
-            _parse_scalar(args.loss_db, "loss-db")
+            _parse_scalar(settings["loss_db"], "loss-db")
         ).transmission
     return settings
 

@@ -221,17 +221,13 @@ def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
     return povm
 
 
-def usd_povm_weighted(
-    ensemble: StateEnsemble,
-    weights=None,
-    tol: float = 1e-8,
-) -> UsdPovm:
+def usd_povm_weighted(ensemble: StateEnsemble, weights=None) -> UsdPovm:
     """Unambiguous measurement with per-state conclusive weights.
 
     Conclusive elements are E_i = c * w_i * |psi~_i><psi~_i|; the common
     scale c is pushed to the positive-semidefiniteness boundary of the
     inconclusive element by bisection (feasibility checked through the
-    minimum eigenvalue, tolerance ``tol``).  With equal weights this is
+    minimum eigenvalue, tolerance 1e-8).  With equal weights this is
     an independent route to the equal-probability optimum; unequal
     weights trade conclusive probability between states.
     """
@@ -245,7 +241,7 @@ def usd_povm_weighted(
     eye = np.eye(coords.shape[1], dtype=complex)
 
     def feasible(c: float) -> bool:
-        return float(np.linalg.eigvalsh(eye - c * weighted_sum)[0]) >= -tol
+        return float(np.linalg.eigvalsh(eye - c * weighted_sum)[0]) >= -1e-8
 
     lo, hi = 0.0, 1.0
     while feasible(hi):

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from fockqkd.fock import (
     FockVector,
     N_MAX_DEFAULT,
@@ -134,11 +132,11 @@ def _check_basis_bit(basis: str, bit: int) -> None:
         raise ParameterError(f"bit must be 0 or 1, got {bit!r}")
 
 
-def ideal_bb84_state(basis: str, bit: int, n_max: int = N_MAX_DEFAULT) -> FockVector:
+def ideal_bb84_state(basis: str, bit: int) -> FockVector:
     """The ideal single-photon BB84 ket for (basis, bit)."""
     _check_basis_bit(basis, bit)
     uv, uh = _POLARIZATION[(basis, bit)]
-    return FockVector.from_terms(2, {(1, 0): uv, (0, 1): uh}, n_max=n_max)
+    return FockVector.from_terms(2, {(1, 0): uv, (0, 1): uh})
 
 
 def _n_photon_polarized(n: int, uv: float, uh: float) -> dict[Pattern, float]:
@@ -152,11 +150,7 @@ def _n_photon_polarized(n: int, uv: float, uh: float) -> dict[Pattern, float]:
 
 
 def wcp_state(
-    params: SourceParams,
-    basis: str,
-    bit: int,
-    exact_coherent: bool = False,
-    n_max: int = N_MAX_DEFAULT,
+    params: SourceParams, basis: str, bit: int, exact_coherent: bool = False
 ) -> ModifiedQubit:
     """The weak-coherent-pulse signal state for (basis, bit).
 
@@ -164,8 +158,8 @@ def wcp_state(
     amplitude: vacuum coefficient 1 - alpha^2/2, one-photon coefficient
     alpha, and (at order 2) two-photon coefficient alpha^2/sqrt(2), all
     in the pulse's polarization mode.  With ``exact_coherent`` the full
-    Poissonian amplitude ladder up to ``n_max`` is kept instead — a
-    sensitivity diagnostic, not the default model.
+    Poissonian amplitude ladder up to ``N_MAX_DEFAULT`` photons is kept
+    instead — a sensitivity diagnostic, not the default model.
     """
     if params.kind != WCP:
         raise ParameterError("wcp_state requires a wcp source")
@@ -175,7 +169,7 @@ def wcp_state(
     if exact_coherent:
         coeffs = [
             math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
-            for n in range(n_max + 1)
+            for n in range(N_MAX_DEFAULT + 1)
         ]
     else:
         coeffs = [1.0 - alpha**2 / 2.0, alpha]
@@ -185,11 +179,11 @@ def wcp_state(
     for n, c in enumerate(coeffs):
         for pattern, a in _n_photon_polarized(n, uv, uh).items():
             amps[pattern] = amps.get(pattern, 0.0) + c * a
-    unit, _ = normalize(FockVector.from_terms(2, amps, n_max=n_max))
+    unit, _ = normalize(FockVector.from_terms(2, amps))
     return ModifiedQubit(basis=basis, bit=bit, state=unit, emission_probability=1.0)
 
 
-def pdc_modified_singlet(params: SourceParams, n_max: int = N_MAX_DEFAULT) -> FockVector:
+def pdc_modified_singlet(params: SourceParams) -> FockVector:
     """Two-arm emission of the pair source, expanded to second order.
 
     The state is returned un-normalized, exactly as expanded: the
@@ -225,15 +219,12 @@ def pdc_modified_singlet(params: SourceParams, n_max: int = N_MAX_DEFAULT) -> Fo
             (2, 1, 0, 1): -SQ2,
         }.items():
             terms[pattern] = factor * quarter
-    return FockVector.from_terms(4, terms, n_max=n_max)
+    return FockVector.from_terms(4, terms)
 
 
 def alice_measure(
-    singlet: FockVector,
-    basis: str,
-    params: SourceParams,
-    rng: np.random.Generator | None = None,
-) -> list[AliceOutcome] | AliceOutcome:
+    singlet: FockVector, basis: str, params: SourceParams
+) -> list[AliceOutcome]:
     """Measure the sender's two modes of a two-arm state.
 
     Rotates the sender's modes (angle 0 for the rectilinear basis,
@@ -244,9 +235,6 @@ def alice_measure(
     branch is accepted when the detected counts are (1, 0) or (0, 1);
     the heralded bit is 0 for the rotated-H detector and 1 for
     rotated-V.  Branch probabilities sum to 1.
-
-    With ``rng`` given, a single branch is sampled from the distribution
-    instead of returning the full list.
     """
     if singlet.mode_count != 4:
         raise ParameterError("sender measurement expects a 4-mode state")
@@ -269,11 +257,7 @@ def alice_measure(
                     bob_state=WeightedState(branch.state, branch.weight * split_prob),
                 )
             )
-    if rng is None:
-        return outcomes
-    weights = np.array([o.bob_state.weight for o in outcomes])
-    choice = rng.choice(len(outcomes), p=weights / weights.sum())
-    return outcomes[int(choice)]
+    return outcomes
 
 
 def pdc_qubit(params: SourceParams, basis: str, bit: int) -> ModifiedQubit:
@@ -300,10 +284,10 @@ def signal_states(params: SourceParams) -> list[ModifiedQubit]:
     return [maker(params, basis, bit) for basis in BASES for bit in (0, 1)]
 
 
-def ideal_signal_states(n_max: int = N_MAX_DEFAULT) -> list[ModifiedQubit]:
+def ideal_signal_states() -> list[ModifiedQubit]:
     """The four ideal single-photon signal states (diagnostic catalog)."""
     return [
-        ModifiedQubit(basis, bit, ideal_bb84_state(basis, bit, n_max), 1.0)
+        ModifiedQubit(basis, bit, ideal_bb84_state(basis, bit), 1.0)
         for basis in BASES
         for bit in (0, 1)
     ]

@@ -36,7 +36,7 @@ from fockqkd.attack import (
     signal_ensemble,
     yield_from_distribution,
 )
-from fockqkd.discrimination import StateEnsemble, usd_povm_equal
+from fockqkd.discrimination import usd_povm_equal
 from fockqkd.sources import ParameterError, SourceParams, ideal_signal_states
 
 ALPHA_SQ_01 = math.sqrt(0.1)
@@ -70,9 +70,6 @@ def test_channel_validation():
         ChannelModel(-0.1)
     with pytest.raises(ParameterError):
         ChannelModel(1.5)
-    with pytest.raises(ParameterError):
-        ChannelModel(0.5, loss_db=5.0)  # should be ~3.0103
-    ChannelModel(0.5, loss_db=10.0 * math.log10(2.0))  # consistent: fine
     with pytest.raises(ParameterError):
         ChannelModel.from_loss_db(-1.0)
 
@@ -196,8 +193,7 @@ def test_eve_rate_pdc_is_zero(eta):
 
 
 def test_eve_rate_ideal_states_is_zero():
-    ens = StateEnsemble([mq.state for mq in ideal_signal_states()])
-    assert eve_conclusive_rate(wcp(), ensemble=ens) == 0.0
+    assert eve_conclusive_rate(analyze(ideal_signal_states())) == 0.0
 
 
 def test_signal_ensemble_priors():
@@ -237,6 +233,38 @@ def test_analysis_record_arrays_are_read_only():
                 *model.heralding[0]):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_analysis_of_the_ideal_catalog():
+    model = analyze(ideal_signal_states())
+    assert model.source is None
+    assert list(model.labels) == [0, 1, 2, 3]
+    assert model.heralding == ()
+    assert model.ensemble.priors == (0.25,) * 4
+    # four single-photon states in a two-dimensional span
+    assert model.conclusive is None
+    stats = multiphoton_stats(model)
+    assert (stats.p0, stats.p1, stats.p_multi) == (0.0, 1.0, 0.0)
+
+
+def test_analysis_rejects_a_three_state_catalog():
+    with pytest.raises(ParameterError):
+        analyze(ideal_signal_states()[:3])
+
+
+def test_protocol_config_reuses_a_pair_source_model(monkeypatch):
+    calls = []
+    measure = attack_mod.alice_measure
+    monkeypatch.setattr(
+        attack_mod, "alice_measure", lambda *args: calls.append(args) or measure(*args)
+    )
+    source = pdc(0.3, eta=0.8)
+    model = analyze(source)
+    attacks = (NO_ATTACK, CONCLUSIVE_ATTACK)
+    by_model = [run(model, 0.5, 20_000, seed=12, attack=a) for a in attacks]
+    # one sender measurement per basis, made by analyze; the runs add none
+    assert len(calls) == 2
+    assert by_model == [run(source, 0.5, 20_000, seed=12, attack=a) for a in attacks]
 
 
 # ---------------------------------------------- critical transmission
@@ -306,13 +334,13 @@ def test_critical_transmission_saturates_at_one():
 
 def run(source, t, n, seed, attack=NO_ATTACK, eta_b=1.0, catalog=None):
     config = ProtocolConfig(
-        source=source,
+        source=source if catalog is None else analyze(catalog),
         channel=ChannelModel(t),
         n_pulses=n,
         seed=seed,
         bob_detector_efficiency=eta_b,
     )
-    return run_protocol_monte_carlo(config, attack, signal_catalog=catalog)
+    return run_protocol_monte_carlo(config, attack)
 
 
 def test_mc_ideal_single_photon_loss_statistics():

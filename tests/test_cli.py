@@ -316,6 +316,28 @@ def test_simulate_loss_db_matches_transmission(tmp_path):
     assert db_doc["report"] == t_doc["report"]
 
 
+def test_config_loss_db_matches_the_flag(tmp_path, capsys):
+    common = ["--source", "wcp", "--alpha", "0.3", "--pulses", "5000", "--seed", "3"]
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert simulate_to(by_flag, common + ["--loss-db", "10"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss_db": 10}))
+    assert simulate_to(by_config, common + ["--config", str(cfg)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    # an explicit flag for either field replaces the config's other field
+    override = tmp_path / "override.json"
+    assert simulate_to(override, common + ["--config", str(cfg), "--transmission", "0.5"]) == 0
+    assert json.loads(override.read_text())["config"]["transmission"] == 0.5
+    cfg.write_text(json.dumps({"transmission": 0.5}))
+    assert simulate_to(override, common + ["--config", str(cfg), "--loss-db", "10"]) == 0
+    assert override.read_bytes() == by_flag.read_bytes()
+    # both in one config are exclusive, as the two flags are
+    cfg.write_text(json.dumps({"transmission": 0.5, "loss_db": 10}))
+    rc, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: config fields transmission and loss_db")
+
+
 def test_simulate_attacked_reports_full_knowledge(tmp_path):
     out = tmp_path / "atk.json"
     rc = simulate_to(
@@ -354,8 +376,16 @@ def test_simulate_unknown_config_field_exits_2(tmp_path, capsys):
         ("simulate", {"seed": 1.7}),
         ("threshold", {"format": "xml"}),
         ("simulate", {"attack": "foo"}),
+        ("usd", {"out": True}),
+        ("usd", {"out": 5}),
+        ("usd", {"toy": "no"}),
+        ("simulate", {"transmission": True}),
+        ("simulate", {"eta_bob": True}),
+        ("threshold", {"alpha": [0.1, False]}),
     ],
-    ids=["order-abc", "pulses-null", "pulses-1e3", "seed-1.7", "format-xml", "attack-foo"],
+    ids=["order-abc", "pulses-null", "pulses-1e3", "seed-1.7", "format-xml", "attack-foo",
+         "out-true", "out-5", "toy-no", "transmission-true", "eta_bob-true",
+         "alpha-grid-false"],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, command, field):
     # each of these crashed with a traceback or ran with a silently

@@ -16,7 +16,6 @@ import pytest
 
 from fockqkd.fock import FockVector, inner_product, normalize, rotate_modes
 from fockqkd.sources import (
-    AliceOutcome,
     ModifiedQubit,
     ParameterError,
     SourceParams,
@@ -338,18 +337,6 @@ def test_alice_measure_first_order_acceptance_probability():
     accepted = sum(o.bob_state.weight for o in outcomes if o.accepted)
     assert accepted == pytest.approx((chi**2 / 2) / (1 + chi**4 / 4), rel=1e-12)
     assert accepted == pytest.approx(chi**2 / 2, rel=1e-7)
-
-
-def test_alice_measure_sampling_is_reproducible():
-    params = pdc_params(0.1)
-    singlet = pdc_modified_singlet(params)
-    a = alice_measure(singlet, "x", params, rng=np.random.default_rng(7))
-    b = alice_measure(singlet, "x", params, rng=np.random.default_rng(7))
-    assert isinstance(a, AliceOutcome)
-    assert a == b
-    population = alice_measure(singlet, "x", params)
-    assert any(o.detected == a.detected and o.true_counts == a.true_counts
-               for o in population)
 
 
 # ------------------------------------------------------------ misc

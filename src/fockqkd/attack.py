@@ -30,8 +30,13 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from fockqkd.discrimination import NotDiscriminable, StateEnsemble, usd_povm_equal
-from fockqkd.fock import FockVector, binomial_thinning, rotate_modes
+from fockqkd.discrimination import (
+    NotDiscriminable,
+    StateEnsemble,
+    ambient_matrix,
+    usd_povm_equal,
+)
+from fockqkd.fock import EPS_AMP, FockVector, binomial_thinning, rotate_modes
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
@@ -161,9 +166,10 @@ def _total_photon_distribution(state: FockVector) -> np.ndarray:
 class SourceModel:
     """What the analytics and the Monte Carlo need from a source (see
     :func:`analyze`).  ``source`` is None for an explicit catalog.
-    ``labels[i]`` is 2·basis + bit of ensemble state i.  ``heralding``
-    holds, per sender basis, every heralding branch weight and its
-    ensemble index (-1: not accepted); it is empty when every pulse is
+    Ensemble state i has label 2·basis + bit ``labels[i]`` and is emitted
+    with ``emission_probability[i]`` (its heralding branch weight, else 1).
+    ``heralding`` holds, per sender basis, every heralding branch weight and
+    its ensemble index (-1: not accepted); it is empty when every pulse is
     sent as prepared.  ``photon_distribution`` is that of the
     receiver-bound state (for the pair source, given acceptance),
     ``emitted`` that of the whole emitted state.  The arrays are read-only.
@@ -172,13 +178,14 @@ class SourceModel:
     source: SourceParams | None
     ensemble: StateEnsemble
     labels: np.ndarray
+    emission_probability: np.ndarray
     heralding: tuple[tuple[np.ndarray, np.ndarray], ...]
     photon_distribution: np.ndarray
     emitted: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = [self.labels, self.photon_distribution, self.emitted]
-        for arr in arrays + [a for pair in self.heralding for a in pair]:
+        arrays = [self.labels, self.emission_probability, self.photon_distribution]
+        for arr in arrays + [self.emitted, *(a for pair in self.heralding for a in pair)]:
             arr.setflags(write=False)
 
     @cached_property
@@ -214,7 +221,9 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
             raise ParameterError("signal catalog must hold the four states")
         states = [mq.state for mq in catalog]
         dist = _total_photon_distribution(states[0])
-        return SourceModel(params, StateEnsemble(states), np.arange(4), (), dist, dist)
+        emit = np.array([mq.emission_probability for mq in catalog])
+        ensemble = StateEnsemble(states)
+        return SourceModel(params, ensemble, np.arange(4), emit, (), dist, dist)
     singlet = pdc_modified_singlet(source)
     states, weights, labels, heralding = [], [], [], []
     for a, basis in enumerate(BASES):
@@ -233,14 +242,9 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
         raise ParameterError("pair source has no accepted branches")
     dist = sum(w * _total_photon_distribution(s) for w, s in zip(weights, states))
     w = np.asarray(weights)
-    return SourceModel(
-        source,
-        StateEnsemble(states, w / w.sum()),
-        np.array(labels),
-        tuple(heralding),
-        dist / total_w,
-        _total_photon_distribution(singlet),
-    )
+    ensemble = StateEnsemble(states, w / w.sum())
+    return SourceModel(source, ensemble, np.array(labels), w, tuple(heralding),
+                       dist / total_w, _total_photon_distribution(singlet))
 
 
 # ----------------------------------------------------- analytic yields
@@ -382,28 +386,35 @@ def critical_transmission(
 # ------------------------------------------------------- Monte Carlo
 
 
-def _detected_distribution(state: FockVector, bob_basis: str, survival: float):
-    """Detected-count distribution after rotation, loss, and detection.
+def _detection_tables(states, survival: float):
+    """Detected patterns (m, 2), table numbers (m,) and cumulative
+    probabilities (m,) of every nonzero entry of every detection table, in
+    table order and lexicographic within a table; table 2·i + b is sent
+    state i in receiver basis ``BASES[b]``.
 
-    Loss and detector efficiency commute with the polarization rotation
-    (both act photon-wise and isotropically), so they are merged into a
-    single per-photon survival probability applied to the true counts.
-    Returns (patterns array (m, 2), cumulative probabilities (m,)).
+    Each ambient pattern is rotated once per basis into a row of R, dropping
+    rotated amplitudes below ``EPS_AMP`` as a Fock vector does.  Loss and
+    detector efficiency commute with the rotation (both act photon-wise and
+    isotropically): the probabilities are |A·R|² times a thinning matrix.
     """
-    rotated = rotate_modes(state, 0, 1, MEASUREMENT_ANGLE[bob_basis])
-    nsq = rotated.norm_sq()
-    acc: dict[tuple[int, int], float] = {}
-    for counts, amp in rotated.items():
-        w = abs(amp) ** 2 / nsq
-        for key, prob in binomial_thinning(counts, survival):
-            acc[key] = acc.get(key, 0.0) + w * prob
-    patterns = np.array(sorted(acc), dtype=np.int64)
-    probs = np.array([acc[tuple(p)] for p in patterns])
-    cum = np.cumsum(probs)
-    if abs(cum[-1] - 1.0) > 1e-9:
+    ambient, a = ambient_matrix(states)
+    true, r = ambient_matrix([
+        rotate_modes(FockVector.basis(p), 0, 1, MEASUREMENT_ANGLE[b])
+        for b in BASES for p in ambient
+    ])
+    amps = a @ r.reshape(len(BASES), len(ambient), -1)  # (basis, state, pattern)
+    amps = amps.swapaxes(0, 1).reshape(-1, len(true))  # row 2·i + b
+    amps[np.abs(amps) < EPS_AMP] = 0.0
+    w = np.abs(amps) ** 2
+    w /= w.sum(axis=1, keepdims=True)
+    thinned = [dict(binomial_thinning(q, survival)) for q in true]
+    detected = sorted(set().union(*thinned))
+    probs = w @ np.array([[t.get(d, 0.0) for d in detected] for t in thinned])
+    cum = np.cumsum(probs, axis=1)
+    if np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
         raise ParameterError("detected-count probabilities do not sum to 1")
-    cum[-1] = 1.0
-    return patterns, cum
+    table, entry = np.nonzero(probs)
+    return np.array(detected, dtype=np.int64)[entry], table, cum[table, entry]
 
 
 # Generator.random returns multiples of 2**-53, so u * 2**53 is an exact
@@ -415,20 +426,19 @@ _DRAW_BITS = 53
 _MAX_TABLES = 1 << (63 - _DRAW_BITS)
 
 
-def _keyed_cdf(cdfs) -> np.ndarray:
-    """One sorted int64 search array over the CDFs ``cdfs[k]``, keyed by k.
+def _keyed_cdf(cum: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """One sorted int64 search array over cumulative probabilities ``cum``
+    of the contiguous tables ``key`` (numbered 0, 1, ... in order).
 
-    Each CDF's last entry is taken as exactly 1 (a cumulative sum may end
+    Each table's last entry is taken as exactly 1 (a cumulative sum may end
     a rounding step off), as clamping a per-table search would do.
     """
-    if len(cdfs) >= _MAX_TABLES:
+    key = np.asarray(key, dtype=np.int64)
+    if key[-1] >= _MAX_TABLES - 1:
         raise ParameterError(f"at most {_MAX_TABLES - 1} sampling tables")
-    parts = []
-    for k, cum in enumerate(cdfs):
-        cum = np.minimum(cum, 1.0)
-        cum[-1] = 1.0
-        parts.append(np.ceil(cum * 2.0**_DRAW_BITS).astype(np.int64) + (k << _DRAW_BITS))
-    return np.concatenate(parts)
+    cum = np.minimum(cum, 1.0)
+    cum[np.append(key[1:] != key[:-1], True)] = 1.0
+    return np.ceil(cum * 2.0**_DRAW_BITS).astype(np.int64) + (key << _DRAW_BITS)
 
 
 def _lookup(icdf: np.ndarray, draws: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -471,19 +481,20 @@ def run_protocol_monte_carlo(
         # identified, right at the receiver: one table per label
         sent = [ideal_bb84_state(basis, bit) for basis in BASES for bit in (0, 1)]
         survival, tables_label = eta_b, np.arange(4)
-    tables = [_detected_distribution(s, b, survival) for s in sent for b in BASES]
-    icdf = _keyed_cdf([cum for _, cum in tables])
+    patterns, key, cum = _detection_tables(sent, survival)
+    icdf = _keyed_cdf(cum, key)
     # outcome of each entry: detection class (0 none, 1 V only, 2 H only,
     # 3 double), whether the bases match, and the sender's bit
-    cls = np.concatenate([(p[:, 0] > 0) + 2 * (p[:, 1] > 0) for p, _ in tables])
-    key = np.repeat(np.arange(len(tables)), [len(p) for p, _ in tables])
+    cls = (patterns[:, 0] > 0) + 2 * (patterns[:, 1] > 0)
     entry_label = tables_label[key // 2]
     match = (entry_label >> 1) == (key & 1)
     bit = (entry_label & 1) == 1
 
     # --- pulse loop, chunked -----------------------------------------
     if heralding:
-        herald_icdf = _keyed_cdf([np.cumsum(w / w.sum()) for w, _ in heralding])
+        herald_key = np.repeat(np.arange(len(heralding)), [len(w) for w, _ in heralding])
+        herald_cum = np.concatenate([np.cumsum(w / w.sum()) for w, _ in heralding])
+        herald_icdf = _keyed_cdf(herald_cum, herald_key)
         herald_table = np.concatenate([index for _, index in heralding])
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     counts = np.zeros(len(icdf), dtype=np.int64)

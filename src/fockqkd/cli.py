@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Any, Sequence
@@ -50,7 +51,7 @@ from fockqkd.discrimination import (
     usd_povm_equal,
 )
 from fockqkd.fock import FockError, FockVector
-from fockqkd.sources import ParameterError, SourceParams, signal_states
+from fockqkd.sources import BASES, ParameterError, SourceParams
 
 THRESHOLD_COLUMNS = (
     "source",
@@ -190,25 +191,34 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
 
     Channel loss is one setting given as either ``transmission`` or
     ``loss_db``, so an explicit flag for one replaces a config value of
-    the other.
+    the other.  ``config_fields`` holds the keys the config file set.
     """
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        settings.update(_load_config(args.config))
+    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    settings = {**_DEFAULTS, **config}
     if getattr(args, "transmission", None) is not None:
         settings["loss_db"] = None
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    settings["config_fields"] = {k for k in config if getattr(args, k, None) is None}
     if settings["loss_db"] is not None:
         settings["transmission"] = ChannelModel.from_loss_db(
-            _parse_scalar(settings["loss_db"], "loss-db")
+            _parse_scalar(settings, "loss_db")
         ).transmission
     return settings
 
 
-def _parse_grid(value: Any, name: str) -> list[float]:
+def _setting_name(settings: dict[str, Any], key: str) -> str:
+    """The config field or the flag that setting ``key`` came from."""
+    in_config = key in settings["config_fields"]
+    return f"config field {key}" if in_config else "--" + key.replace("_", "-")
+
+
+def _parse_grid(settings: dict[str, Any], key: str, single: bool = False) -> list[float]:
+    """The numbers in setting ``key``; with ``single``, exactly one."""
+    value = settings[key]
+    name = _setting_name(settings, key)
     if isinstance(value, (int, float)):
         return [float(value)]
     if isinstance(value, (list, tuple)):
@@ -218,34 +228,27 @@ def _parse_grid(value: Any, name: str) -> list[float]:
     try:
         grid = [float(x) for x in items]
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"--{name}: expected numbers, got {value!r}") from exc
+        raise UsageError(f"{name}: expected numbers, got {value!r}") from exc
     if not grid:
-        raise UsageError(f"--{name}: empty grid")
+        raise UsageError(f"{name}: empty grid")
+    if single and len(grid) != 1:
+        raise UsageError(f"{name}: expected a single value, got {len(grid)}")
     return grid
 
 
-def _parse_scalar(value: Any, name: str) -> float:
-    grid = _parse_grid(value, name)
-    if len(grid) != 1:
-        raise UsageError(f"--{name}: expected a single value, got {len(grid)}")
-    return grid[0]
+def _parse_scalar(settings: dict[str, Any], key: str) -> float:
+    return _parse_grid(settings, key, single=True)[0]
 
 
-def _source_from_settings(
-    settings: dict[str, Any], amplitude: float | None = None
-) -> SourceParams:
+def _source_from_settings(settings: dict[str, Any]) -> SourceParams:
     kind = settings["source"]
-    if amplitude is None:
-        key = "alpha" if kind == "wcp" else "chi"
-        amplitude = _parse_scalar(settings[key], key)
+    amplitude = _parse_scalar(settings, "alpha" if kind == "wcp" else "chi")
     try:
         return SourceParams(
             kind=kind,
             amplitude=amplitude,
             expansion_order=settings["order"],
-            alice_detector_efficiency=_parse_scalar(
-                settings["eta_alice"], "eta-alice"
-            ),
+            alice_detector_efficiency=_parse_scalar(settings, "eta_alice"),
         )
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
@@ -259,17 +262,15 @@ def _format_number(x: float) -> str:
 
 
 def _cmd_states(settings: dict[str, Any], stream) -> int:
-    params = _source_from_settings(settings)
-    catalog = signal_states(params)
-    for mq in catalog:
-        print(f"# state {mq.basis}{mq.bit}", file=stream)
-        print(
-            f"# emission_probability {_format_number(mq.emission_probability)}",
-            file=stream,
-        )
-        for line in mq.state.dump_lines():
+    """One block per state of the analysed ensemble, then its Gram matrix."""
+    model = analyze(_source_from_settings(settings))
+    states = model.ensemble.states
+    for label, p, state in zip(model.labels, model.emission_probability, states):
+        print(f"# state {BASES[label >> 1]}{label & 1}", file=stream)
+        print(f"# emission_probability {_format_number(p)}", file=stream)
+        for line in state.dump_lines():
             print(line, file=stream)
-    g = gram(StateEnsemble([mq.state for mq in catalog]))
+    g = gram(model.ensemble)
     print("# gram matrix (real part; max |imag| %.3g)" % np.abs(g.imag).max(),
           file=stream)
     for row in g.real:
@@ -341,11 +342,12 @@ def _threshold_row(model: SourceModel, eta_b: float) -> dict[str, Any]:
 def _cmd_threshold(settings: dict[str, Any], stream) -> int:
     kind = settings["source"]
     amp_key = "alpha" if kind == "wcp" else "chi"
-    amplitudes = _parse_grid(settings[amp_key], amp_key)
-    etas_a = _parse_grid(settings["eta_alice"], "eta-alice")
-    etas_b = _parse_grid(settings["eta_bob"], "eta-bob")
+    amplitudes = _parse_grid(settings, amp_key)
+    etas_a = _parse_grid(settings, "eta_alice")
+    etas_b = _parse_grid(settings, "eta_bob")
     if not all(0.0 < eta_b <= 1.0 for eta_b in etas_b):
-        raise UsageError("--eta-bob: every value must lie in (0, 1]")
+        name = _setting_name(settings, "eta_bob")
+        raise UsageError(f"{name}: every value must lie in (0, 1]")
 
     failures = (ParameterError, FockError, ConsistencyError)
     rows: list[dict[str, Any] | Exception] = []
@@ -392,7 +394,7 @@ def _cmd_threshold(settings: dict[str, Any], stream) -> int:
 
 def _cmd_simulate(settings: dict[str, Any], stream) -> int:
     params = _source_from_settings(settings)
-    transmission = _parse_scalar(settings["transmission"], "transmission")
+    transmission = _parse_scalar(settings, "transmission")
     try:
         channel = ChannelModel(transmission)
         config = ProtocolConfig(
@@ -400,7 +402,7 @@ def _cmd_simulate(settings: dict[str, Any], stream) -> int:
             channel=channel,
             n_pulses=settings["pulses"],
             seed=settings["seed"],
-            bob_detector_efficiency=_parse_scalar(settings["eta_bob"], "eta-bob"),
+            bob_detector_efficiency=_parse_scalar(settings, "eta_bob"),
         )
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
@@ -426,8 +428,7 @@ def _cmd_simulate(settings: dict[str, Any], stream) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         settings = _resolve_settings(args)
         handler = {
@@ -443,7 +444,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"cannot write {settings['out']}: {exc.strerror}") from exc
             with fh:
                 return handler(settings, fh)
-        return handler(settings, sys.stdout)
+        code = handler(settings, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; devnull keeps the flush at exit silent
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fockqkd.fock import DimensionMismatch, FockVector, Pattern, inner_product
+from fockqkd.fock import DimensionMismatch, FockVector, Pattern
 
 RANK_TOL = 1e-8
 PSD_TOL = 1e-10
@@ -109,13 +109,8 @@ def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
 
 def gram(ensemble: StateEnsemble) -> np.ndarray:
     """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states."""
-    k = len(ensemble)
-    g = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        g[i, i] = ensemble.states[i].norm_sq()
-        for j in range(i + 1, k):
-            g[i, j] = inner_product(ensemble.states[i], ensemble.states[j])
-            g[j, i] = np.conj(g[i, j])
+    _, a = ambient_matrix(ensemble.states)
+    g = a.conj() @ a.T
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise ConsistencyError("gram matrix is not Hermitian")
     if np.min(np.linalg.eigvalsh(g)) < -PSD_TOL:

@@ -16,6 +16,7 @@ Mode-ordering conventions used by the rest of the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -74,11 +75,13 @@ class FockVector:
         if self.mode_count < 1:
             raise FockError("mode_count must be positive")
         kept: dict[Pattern, complex] = {}
+        mode_count, n_max = self.mode_count, self.n_max
         for pattern, amp in self.amps.items():
-            pattern = tuple(int(n) for n in pattern)
-            _check_pattern(pattern, self.mode_count, self.n_max)
+            pattern = tuple(map(int, pattern))
+            if len(pattern) != mode_count or min(pattern) < 0 or sum(pattern) > n_max:
+                _check_pattern(pattern, mode_count, n_max)  # raises, naming the fault
             amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            if not cmath.isfinite(amp):
                 raise FockError(f"non-finite amplitude at {pattern}")
             if abs(amp) >= EPS_AMP:
                 kept[pattern] = kept.get(pattern, 0.0) + amp
@@ -262,6 +265,40 @@ def rotate_modes(v: FockVector, i: int, j: int, theta: float) -> FockVector:
     return FockVector(v.mode_count, v.n_max, out)
 
 
+def _count_outcomes(
+    v: FockVector, modes: tuple[int, ...], wanted: Iterable[Pattern] | None = None
+) -> list[tuple[Pattern, WeightedState]]:
+    """:func:`project_counts` for each count pattern in ``wanted``, by
+    default every one up to the per-mode maxima present in ``v``; one pass
+    groups the amplitudes by their counts."""
+    if len(set(modes)) != len(modes):
+        raise DimensionMismatch("projection modes must be distinct")
+    for m in modes:
+        if not 0 <= m < v.mode_count:
+            raise DimensionMismatch(f"mode {m} out of range")
+    total = v.norm_sq()
+    if total <= EPS_NORM**2:
+        raise NearZeroVector("projection of a numerically zero vector")
+    rest = [k for k in range(v.mode_count) if k not in modes]
+    groups: dict[Pattern, dict[Pattern, complex]] = {}
+    for pattern, amp in v.amps.items():  # the counts and the rest fix a pattern
+        reduced = tuple(pattern[k] for k in rest)
+        groups.setdefault(tuple(pattern[m] for m in modes), {})[reduced] = amp
+    if wanted is None:
+        maxima = [max((c[i] for c in groups), default=0) for i in range(len(modes))]
+        wanted = product(*(range(n + 1) for n in maxima))
+    outcomes = []
+    for counts in wanted:
+        remainder = FockVector(len(rest), v.n_max, groups.get(counts, {}))
+        kept_sq = remainder.norm_sq()
+        if math.sqrt(kept_sq) <= EPS_NORM:
+            outcome = WeightedState(None, 0.0)
+        else:
+            outcome = WeightedState(normalize(remainder)[0], kept_sq / total)
+        outcomes.append((counts, outcome))
+    return outcomes
+
+
 def project_counts(
     v: FockVector, modes: Iterable[int], counts: Iterable[int]
 ) -> WeightedState:
@@ -275,50 +312,22 @@ def project_counts(
     """
     modes = tuple(modes)
     counts = tuple(int(n) for n in counts)
-    if len(set(modes)) != len(modes):
-        raise DimensionMismatch("projection modes must be distinct")
-    for m in modes:
-        if not 0 <= m < v.mode_count:
-            raise DimensionMismatch(f"mode {m} out of range")
     if len(counts) != len(modes):
         raise DimensionMismatch("one target count per projected mode")
     if any(n < 0 for n in counts):
         raise FockError("negative target count")
-    keep = set(modes)
-    kept: dict[Pattern, complex] = {}
-    for pattern, amp in v.amps.items():
-        if all(pattern[m] == n for m, n in zip(modes, counts)):
-            reduced = tuple(pattern[k] for k in range(v.mode_count) if k not in keep)
-            kept[reduced] = kept.get(reduced, 0.0) + amp
-    total = v.norm_sq()
-    if total <= EPS_NORM**2:
-        raise NearZeroVector("projection of a numerically zero vector")
-    remainder = FockVector(v.mode_count - len(modes), v.n_max, kept)
-    kept_sq = remainder.norm_sq()
-    if math.sqrt(kept_sq) <= EPS_NORM:
-        return WeightedState(None, 0.0)
-    unit, _ = normalize(remainder)
-    return WeightedState(unit, kept_sq / total)
+    return _count_outcomes(v, modes, [counts])[0][1]
 
 
 def all_count_outcomes(
     v: FockVector, modes: Iterable[int]
 ) -> list[tuple[Pattern, WeightedState]]:
-    """Enumerate ``project_counts`` over every count pattern with support.
-
-    Returns (counts, outcome) pairs covering all combinations up to the
-    per-mode maxima present in ``v``; outcome probabilities sum to 1 for a
-    unit-norm input.  Zero-probability combinations are included so the
-    enumeration is a complete measurement.
+    """(counts, :func:`project_counts` outcome) for every count pattern
+    of ``modes`` up to the per-mode maxima present in ``v``, in
+    lexicographic order; zero-probability outcomes are included, so the
+    probabilities of a unit-norm input sum to 1.
     """
-    modes = tuple(modes)
-    maxima = []
-    for m in modes:
-        maxima.append(max((p[m] for p in v.amps), default=0))
-    outcomes = []
-    for counts in product(*(range(n + 1) for n in maxima)):
-        outcomes.append((counts, project_counts(v, modes, counts)))
-    return outcomes
+    return _count_outcomes(v, tuple(modes))
 
 
 def binomial_thinning(counts: Pattern, keep: float) -> list[tuple[Pattern, float]]:

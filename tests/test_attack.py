@@ -37,7 +37,14 @@ from fockqkd.attack import (
     yield_from_distribution,
 )
 from fockqkd.discrimination import usd_povm_equal
-from fockqkd.sources import ParameterError, SourceParams, ideal_signal_states
+from fockqkd.fock import binomial_thinning, rotate_modes
+from fockqkd.sources import (
+    BASES,
+    MEASUREMENT_ANGLE,
+    ParameterError,
+    SourceParams,
+    ideal_signal_states,
+)
 
 ALPHA_SQ_01 = math.sqrt(0.1)
 
@@ -229,8 +236,8 @@ def test_analysis_record_gives_the_same_numbers(source):
 def test_analysis_record_arrays_are_read_only():
     model = analyze(pdc(0.1, eta=0.8))
     assert len(model.heralding) == 2
-    for arr in (model.labels, model.photon_distribution, model.emitted,
-                *model.heralding[0]):
+    for arr in (model.labels, model.emission_probability, model.photon_distribution,
+                model.emitted, *model.heralding[0]):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -240,6 +247,7 @@ def test_analysis_of_the_ideal_catalog():
     assert model.source is None
     assert list(model.labels) == [0, 1, 2, 3]
     assert model.heralding == ()
+    assert list(model.emission_probability) == [1.0] * 4
     assert model.ensemble.priors == (0.25,) * 4
     # four single-photon states in a two-dimensional span
     assert model.conclusive is None
@@ -514,6 +522,12 @@ def _as_cdf(entries_and_last):
     return np.array(sorted(min(x, last) for x in entries) + [last])
 
 
+def _keyed_cdf(cdfs):
+    """The keyed search array over a list of per-table CDFs."""
+    sizes = [len(cum) for cum in cdfs]
+    return attack_mod._keyed_cdf(np.concatenate(cdfs), np.repeat(np.arange(len(cdfs)), sizes))
+
+
 _cdf = st.tuples(
     st.lists(_cum_entry, max_size=6),
     st.sampled_from([1.0, 1.0 - _GRID, 1.0 + 2 * _GRID]),
@@ -525,7 +539,7 @@ _cdf = st.tuples(
 def test_keyed_cdf_lookup_matches_per_table_search(cdfs, seed):
     # duplicate one table's first entry to get repeated cum values
     cdfs[0] = np.concatenate([cdfs[0][:1], cdfs[0]])
-    icdf = attack_mod._keyed_cdf(cdfs)
+    icdf = _keyed_cdf(cdfs)
     offsets = np.cumsum([0] + [len(c) for c in cdfs])
     for k, cum in enumerate(cdfs):
         # boundary draws: 0, the largest draw, and the grid points on
@@ -544,8 +558,8 @@ def test_keyed_cdf_lookup_matches_per_table_search(cdfs, seed):
 def test_keyed_cdf_table_limit():
     one = np.array([1.0])
     with pytest.raises(ParameterError):
-        attack_mod._keyed_cdf([one] * 1024)
-    icdf = attack_mod._keyed_cdf([one] * 1023)
+        _keyed_cdf([one] * 1024)
+    icdf = _keyed_cdf([one] * 1023)
     assert np.all(np.diff(icdf) > 0)
     draws = np.array([0.0, 1.0 - _GRID])
     assert list(attack_mod._lookup(icdf, draws, np.array([1022, 1022]))) == [1022] * 2
@@ -577,3 +591,46 @@ def test_sim_report_rejects_inconsistent_counts():
             attack_kind=ATTACK_NONE,
             attack_unavailable=False,
         )
+
+
+# ------------------------------------------- batched detection tables
+
+
+def _reference_table(state, basis, survival):
+    """One table the per-state way: rotate the state, then thin each
+    rotated pattern's counts."""
+    rotated = rotate_modes(state, 0, 1, MEASUREMENT_ANGLE[basis])
+    nsq = rotated.norm_sq()
+    acc = {}
+    for counts, amp in rotated.items():
+        w = abs(amp) ** 2 / nsq
+        for key, prob in binomial_thinning(counts, survival):
+            acc[key] = acc.get(key, 0.0) + w * prob
+    patterns = sorted(acc)
+    return patterns, np.cumsum([acc[p] for p in patterns])
+
+
+_SENT = {
+    "wcp-1": lambda: analyze(wcp(order=1)).ensemble.states,
+    "wcp-2": lambda: analyze(wcp()).ensemble.states,
+    "pdc-eta1": lambda: analyze(pdc()).ensemble.states,
+    "pdc-eta0.8": lambda: analyze(pdc(eta=0.8)).ensemble.states,
+    "pdc-eta0.5": lambda: analyze(pdc(eta=0.5)).ensemble.states,
+    # the resend states are the ideal catalog's kets
+    "ideal-and-resend": lambda: [mq.state for mq in ideal_signal_states()],
+}
+
+
+@pytest.mark.parametrize("survival", [0.0, 1e-3, 0.37, 1.0])
+@pytest.mark.parametrize("sent", list(_SENT))
+def test_batched_tables_match_the_per_state_reference(sent, survival):
+    states = _SENT[sent]()
+    patterns, table, cum = attack_mod._detection_tables(states, survival)
+    assert list(np.unique(table)) == list(range(2 * len(states)))
+    assert np.all(np.diff(table) >= 0)
+    for i, state in enumerate(states):
+        for b, basis in enumerate(BASES):
+            want_patterns, want_cum = _reference_table(state, basis, survival)
+            rows = table == 2 * i + b
+            assert [tuple(p) for p in patterns[rows]] == want_patterns
+            np.testing.assert_allclose(cum[rows], want_cum, rtol=0, atol=1e-15)

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import fockqkd.fock as fock_mod
 import fockqkd.sources as sources_mod
 from fockqkd import cli
-from fockqkd.attack import eve_conclusive_rate, multiphoton_stats
+from fockqkd.attack import analyze, eve_conclusive_rate, multiphoton_stats
 from fockqkd.discrimination import ConsistencyError
 from fockqkd.sources import SourceParams
 
@@ -66,6 +68,26 @@ def test_states_dump_format(capsys):
             break
         first_block.append(tuple(int(n) for n in ln.split("\t")[0].split(",")))
     assert first_block == sorted(first_block)
+
+
+def test_states_prints_the_analysed_ensemble(capsys):
+    # with sender inefficiency the ensemble holds every accepted branch,
+    # the same states that ``usd`` analyses
+    flags = ["--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8"]
+    rc, out, _ = run_cli(["states"] + flags, capsys)
+    assert rc == 0
+    model = analyze(SourceParams(kind="pdc", amplitude=0.1, alice_detector_efficiency=0.8))
+    heads = re.findall(r"^# state (\S+)$", out, re.M)
+    assert heads == ["+x"[label >> 1] + str(label & 1) for label in model.labels]
+    assert len(heads) == 28
+    emission = [float(x) for x in re.findall(r"^# emission_probability (\S+)$", out, re.M)]
+    branch_weights = [
+        w for weights, index in model.heralding for w, i in zip(weights, index) if i >= 0
+    ]
+    assert emission == pytest.approx(branch_weights, rel=1e-11)
+    assert "# numerical rank: 8" in out
+    rc, out, _ = run_cli(["usd"] + flags, capsys)
+    assert "not discriminable (rank 8)" in out
 
 
 # ----------------------------------------------------------------- usd
@@ -219,13 +241,13 @@ def test_threshold_grid_of_failed_computations_exits_1(capsys, monkeypatch):
     assert "every grid point failed" in err
 
 
-def count_calls(monkeypatch, *names):
-    """Count calls of the ``fockqkd.sources`` functions ``names``, rebinding
+def count_calls(monkeypatch, source_module, *names):
+    """Count calls of the ``source_module`` functions ``names``, rebinding
     each in every fockqkd module that imported it."""
     counts = dict.fromkeys(names, 0)
     modules = [m for key, m in sys.modules.items() if key.startswith("fockqkd.")]
     for name in names:
-        fn = getattr(sources_mod, name)
+        fn = getattr(source_module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
@@ -238,7 +260,7 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_analyses_each_pair_source_once(capsys, monkeypatch):
-    counts = count_calls(monkeypatch, "alice_measure", "pdc_modified_singlet")
+    counts = count_calls(monkeypatch, sources_mod, "alice_measure", "pdc_modified_singlet")
     rc, out, _ = run_cli(
         ["threshold", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8",
          "--eta-bob", "1,0.8,0.5"],
@@ -254,7 +276,8 @@ def test_threshold_analyses_each_pair_source_once(capsys, monkeypatch):
 
 
 def test_attacked_pair_source_simulate_measures_once(tmp_path, monkeypatch):
-    counts = count_calls(monkeypatch, "alice_measure")
+    counts = count_calls(monkeypatch, sources_mod, "alice_measure")
+    fock_counts = count_calls(monkeypatch, fock_mod, "project_counts", "inner_product")
     rc = simulate_to(
         tmp_path / "r.json",
         ["--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8", "--pulses", "2000",
@@ -263,6 +286,8 @@ def test_attacked_pair_source_simulate_measures_once(tmp_path, monkeypatch):
     assert rc == 0
     assert json.loads((tmp_path / "r.json").read_text())["report"]["attack_unavailable"]
     assert counts == {"alice_measure": 2}
+    # heralding groups amplitudes in one pass and the Gram is one product
+    assert fock_counts == {"project_counts": 0, "inner_product": 0}
 
 
 def simulate_to(path, extra):
@@ -382,10 +407,15 @@ def test_simulate_unknown_config_field_exits_2(tmp_path, capsys):
         ("simulate", {"transmission": True}),
         ("simulate", {"eta_bob": True}),
         ("threshold", {"alpha": [0.1, False]}),
+        ("threshold", {"alpha": "abc"}),
+        ("states", {"eta_alice": [0.5, 0.8]}),
+        ("simulate", {"loss_db": "ten"}),
+        ("threshold", {"eta_bob": [0.5, 2]}),
     ],
     ids=["order-abc", "pulses-null", "pulses-1e3", "seed-1.7", "format-xml", "attack-foo",
          "out-true", "out-5", "toy-no", "transmission-true", "eta_bob-true",
-         "alpha-grid-false"],
+         "alpha-grid-false", "alpha-abc", "eta_alice-grid-for-states", "loss_db-ten",
+         "eta_bob-out-of-range"],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, command, field):
     # each of these crashed with a traceback or ran with a silently
@@ -398,6 +428,25 @@ def test_config_values_get_the_flag_checks(tmp_path, capsys, command, field):
     (key,) = field
     assert err.startswith(f"error: config field {key}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["threshold", "--alpha", "abc"], "error: --alpha: expected numbers"),
+        (["states", "--eta-alice", "0.5,0.8"], "error: --eta-alice: expected a single value"),
+        (["simulate", "--loss-db", "ten"], "error: --loss-db: expected numbers"),
+    ],
+    ids=["alpha-abc", "eta-alice-grid-for-states", "loss-db-ten"],
+)
+def test_flag_values_keep_the_flag_name(tmp_path, capsys, argv, message):
+    # a flag overrides a valid config value and its error names the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.3, "eta_alice": 1.0, "loss_db": 1.0}))
+    for extra in ([], ["--config", str(cfg)]):
+        rc, out, err = run_cli(argv + extra, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(message)
 
 
 def test_config_integers_accept_what_the_flag_accepts(tmp_path, capsys):
@@ -426,3 +475,28 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "conclusive_probability_q" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--alpha", "0.1,0.2,0.3,0.4,0.5", "--eta-bob", "1,0.9,0.8,0.7"],
+        ["usd", "--toy"],
+    ],
+    ids=["threshold-grid", "usd-toy"],
+)
+def test_closed_stdout_pipe_exits_0_silently(argv):
+    # the reader closes its end before the program writes: that is not a
+    # failed computation, and nothing may reach stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockqkd.cli"] + argv,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -6,6 +6,7 @@ rotation generator), so the two routes share no code.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fockqkd.fock import (
     FockError,
     FockVector,
     NearZeroVector,
+    TruncationOverflow,
     all_count_outcomes,
     apply_loss,
     binomial_thinning,
@@ -27,6 +29,7 @@ from fockqkd.fock import (
     rotate_modes,
     tensor,
 )
+from fockqkd.sources import SourceParams, pdc_modified_singlet
 
 SQ2 = math.sqrt(2.0)
 
@@ -41,6 +44,30 @@ def random_state(rng, mode_count=2, n_max=6, n_terms=5):
                 break
         amps[pattern] = complex(rng.normal(), rng.normal())
     return FockVector.from_terms(mode_count, amps, n_max=n_max)
+
+
+# ---------------------------------------------------------------- construction
+
+
+@pytest.mark.parametrize("pattern, amp, error, reason", [
+    ((1,), 1.0, DimensionMismatch, "has 1 modes, expected 2"),
+    ((), 1.0, DimensionMismatch, "has 0 modes, expected 2"),
+    ((1, 1, 0), 1.0, DimensionMismatch, "has 3 modes, expected 2"),
+    ((2, -1), 1.0, FockError, "negative occupation"),
+    ((4, 3), 1.0, TruncationOverflow, "holds 7 photons, bound is 6"),
+    ((1, 0), math.nan, FockError, "non-finite amplitude"),
+    ((1, 0), complex(0.0, math.inf), FockError, "non-finite amplitude"),
+])
+def test_construction_rejects_each_fault(pattern, amp, error, reason):
+    with pytest.raises(error, match=reason) as exc:
+        FockVector(2, 6, {(0, 0): 1.0, pattern: amp})
+    assert type(exc.value) is error
+
+
+def test_construction_keeps_valid_patterns_as_integer_tuples():
+    v = FockVector(2, 6, {(np.int64(3), 3.0): 0.5, (0, 6): 1e-16, (6, 0): 2})
+    assert v.amps == {(3, 3): 0.5, (6, 0): 2}
+    assert all(type(n) is int for p in v.amps for n in p)
 
 
 # ---------------------------------------------------------------- inner product
@@ -271,6 +298,65 @@ def test_project_weight_relative_to_input_norm():
     v = FockVector.from_terms(4, {(0, 1, 1, 0): 2.0, (1, 0, 0, 1): -2.0})
     outcome = project_counts(v, (0, 1), (0, 1))
     assert outcome.weight == pytest.approx(0.5, abs=1e-14)
+
+
+def _scan_one_count(v, modes, counts):
+    """Reference projection: one scan of every amplitude per count pattern."""
+    kept = {}
+    for pattern, amp in v.amps.items():
+        if all(pattern[m] == n for m, n in zip(modes, counts)):
+            reduced = tuple(pattern[k] for k in range(v.mode_count) if k not in modes)
+            kept[reduced] = kept.get(reduced, 0.0) + amp
+    remainder = FockVector(v.mode_count - len(modes), v.n_max, kept)
+    kept_sq = remainder.norm_sq()
+    if math.sqrt(kept_sq) <= 1e-12:
+        return None, 0.0
+    return normalize(remainder)[0], kept_sq / v.norm_sq()
+
+
+def _singlet_rotated():
+    singlet = pdc_modified_singlet(SourceParams(kind="pdc", amplitude=0.1))
+    return rotate_modes(singlet, 0, 1, -math.pi / 4)
+
+
+@pytest.mark.parametrize("modes", [(0, 1), (2, 3), (1, 3), (3, 0), (2,)])
+def test_grouped_outcomes_equal_the_per_count_scan_bitwise(modes):
+    rng = np.random.default_rng(5)
+    states = [_singlet_rotated()]
+    states += [random_state(rng, mode_count=4, n_max=4, n_terms=9) for _ in range(10)]
+    for v in states:
+        outcomes = all_count_outcomes(v, modes)
+        maxima = [max(p[m] for p in v.amps) for m in modes]
+        assert [c for c, _ in outcomes] == list(
+            product(*(range(n + 1) for n in maxima))
+        )
+        for counts, got in outcomes:
+            state, weight = _scan_one_count(v, modes, counts)
+            assert got.weight == weight
+            if state is None:
+                assert got.state is None
+            else:
+                assert list(got.state.amps.items()) == list(state.amps.items())
+            assert project_counts(v, modes, counts) == got
+        # a count beyond the support is a zero-probability outcome
+        beyond = project_counts(v, modes, [n + 1 for n in maxima])
+        assert (beyond.state, beyond.weight) == (None, 0.0)
+
+
+def test_projection_errors():
+    v = FockVector.basis((0, 1, 1, 0))
+    for modes, counts in (((0, 0), (0, 0)), ((0, 4), (0, 0)), ((0, 1), (0,))):
+        with pytest.raises(DimensionMismatch):
+            project_counts(v, modes, counts)
+    with pytest.raises(FockError):
+        project_counts(v, (0, 1), (0, -1))
+    with pytest.raises(DimensionMismatch):
+        all_count_outcomes(v, (-1,))
+    zero = FockVector(4, 6, {})
+    with pytest.raises(NearZeroVector):
+        project_counts(zero, (0,), (0,))
+    with pytest.raises(NearZeroVector):
+        all_count_outcomes(zero, (0, 1))
 
 
 # ------------------------------------------------------------------------ loss

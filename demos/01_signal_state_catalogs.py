@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from fockqkd.discrimination import StateEnsemble, gram, numerical_rank
-from fockqkd.sources import SourceParams, pdc_modified_singlet, signal_states
+from fockqkd.attack import analyze
+from fockqkd.discrimination import gram, numerical_rank
+from fockqkd.sources import BASES, SourceParams, pdc_modified_singlet
 
 
 def show_catalog(label: str, params: SourceParams) -> None:
     print(f"=== {label} ===")
-    catalog = signal_states(params)
-    for mq in catalog:
-        print(f"state {mq.basis}{mq.bit}  (emission probability "
-              f"{mq.emission_probability:.6g})")
-        for line in mq.state.dump_lines():
+    model = analyze(params)
+    for lab, p, state in zip(model.labels, model.emission_probability,
+                             model.ensemble.states):
+        print(f"state {BASES[lab >> 1]}{lab & 1}  (emission probability "
+              f"{p:.6g})")
+        for line in state.dump_lines():
             print("   ", line.replace("\t", "  "))
-    g = gram(StateEnsemble([mq.state for mq in catalog]))
+    g = gram(model.ensemble)
     print("Gram matrix:")
     print(np.array2string(g.real, precision=6, suppress_small=True))
     print(f"numerical rank: {numerical_rank(g)}")

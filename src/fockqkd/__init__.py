@@ -34,8 +34,6 @@ from fockqkd.discrimination import (
     UsdPovm,
     gram,
     numerical_rank,
-    reciprocal_states,
-    simulate_usd,
     usd_povm_equal,
     usd_povm_weighted,
 )
@@ -47,14 +45,12 @@ from fockqkd.fock import (
     normalize,
     project_counts,
     rotate_modes,
-    tensor,
 )
 from fockqkd.sources import (
     ParameterError,
     SourceParams,
     ideal_signal_states,
     pdc_modified_singlet,
-    pdc_qubit,
     signal_states,
     wcp_state,
 )
@@ -86,15 +82,11 @@ __all__ = [
     "normalize",
     "numerical_rank",
     "pdc_modified_singlet",
-    "pdc_qubit",
     "project_counts",
-    "reciprocal_states",
     "rotate_modes",
     "run_protocol_monte_carlo",
     "signal_ensemble",
     "signal_states",
-    "simulate_usd",
-    "tensor",
     "usd_povm_equal",
     "usd_povm_weighted",
     "wcp_state",

@@ -363,6 +363,11 @@ def critical_transmission(
     meets or beats the honest detection yield with zero induced error.
     Returns None when the conclusive rate is 0 (no threshold: the
     protocol is immune to this attack).  ``eta_b`` must lie in (0, 1].
+
+    ``eta_b`` enters the honest side only: the eavesdropper's resends
+    count as detected with certainty.  :func:`run_protocol_monte_carlo`
+    applies ``eta_b`` to her resends as well, so below 1 its attacked
+    yield is ``eta_b`` times the rate and the attack shows below this t*.
     """
     if not 0.0 < eta_b <= 1.0:
         raise ParameterError("eta_b must lie in (0, 1]")

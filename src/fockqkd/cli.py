@@ -47,7 +47,6 @@ from fockqkd.discrimination import (
     StateEnsemble,
     gram,
     numerical_rank,
-    reciprocal_states,
     usd_povm_equal,
 )
 from fockqkd.fock import FockError, FockVector
@@ -299,11 +298,8 @@ def _cmd_usd(settings: dict[str, Any], stream) -> int:
         return 0
     q = float(povm.conclusive_probabilities[0])
     print(f"conclusive_probability_q {_format_number(q)}", file=stream)
-    for i, recip in enumerate(reciprocal_states(ensemble)):
-        print(
-            f"reciprocal_norm[{i}] {_format_number(math.sqrt(recip.norm_sq()))}",
-            file=stream,
-        )
+    for i, norm in enumerate(povm.reciprocal_norms):
+        print(f"reciprocal_norm[{i}] {_format_number(norm)}", file=stream)
     print(
         "certificate_min_inconclusive_eigenvalue "
         f"{_format_number(povm.min_inconclusive_eigenvalue)}",
@@ -334,7 +330,7 @@ def _threshold_row(model: SourceModel, eta_b: float) -> dict[str, Any]:
         row.update(
             t_star=t_star,
             fatal_loss_percent=100.0 * (1.0 - t_star),
-            fatal_loss_db=-10.0 * math.log10(t_star),
+            fatal_loss_db=-10.0 * math.log10(t_star) + 0.0,  # t* = 1: 0, not -0
         )
     return row
 

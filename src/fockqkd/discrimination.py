@@ -81,18 +81,19 @@ class UsdPovm:
     """An unambiguous-discrimination measurement on an ensemble's span.
 
     ``conclusive_elements[i]`` and ``inconclusive_element`` are Hermitian
-    matrices in the orthonormal ``span_basis`` (a tuple of ambient
-    patterns paired with the basis coefficient matrix).  The certificate
+    matrices in the orthonormal ``span_basis`` (rows over the sorted union
+    of the states' patterns).  ``reciprocal_norms[i]`` is the norm of the
+    reciprocal state |psi~_i>, sqrt((G^-1)_ii).  The certificate
     ``min_inconclusive_eigenvalue`` sits at the PSD boundary when the
     measurement is optimal within its family.
     """
 
     ensemble: StateEnsemble
-    patterns: tuple[Pattern, ...]
-    span_basis: np.ndarray  # (span_dim, len(patterns)) orthonormal rows
+    span_basis: np.ndarray  # (span_dim, patterns) orthonormal rows
     conclusive_elements: tuple[np.ndarray, ...]
     inconclusive_element: np.ndarray
     conclusive_probabilities: np.ndarray
+    reciprocal_norms: np.ndarray
     min_inconclusive_eigenvalue: float
 
 
@@ -107,80 +108,71 @@ def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
     return tuple(patterns), a
 
 
-def gram(ensemble: StateEnsemble) -> np.ndarray:
-    """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states."""
+def _spectrum(ensemble: StateEnsemble):
+    """Ambient matrix A, Gram matrix G = conj(A)·Aᵀ and G's ascending
+    eigenvalues, after checking that G is Hermitian and PSD."""
     _, a = ambient_matrix(ensemble.states)
     g = a.conj() @ a.T
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise ConsistencyError("gram matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(g)) < -PSD_TOL:
-        raise ConsistencyError("gram matrix is not positive semidefinite")
-    return g
-
-
-def numerical_rank(g: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Eigenvalues above ``tol`` times the largest one."""
     eigs = np.linalg.eigvalsh(g)
+    if eigs[0] < -PSD_TOL:
+        raise ConsistencyError("gram matrix is not positive semidefinite")
+    return a, g, eigs
+
+
+def gram(ensemble: StateEnsemble) -> np.ndarray:
+    """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states."""
+    return _spectrum(ensemble)[1]
+
+
+def _rank(eigs: np.ndarray, tol: float) -> int:
     top = eigs[-1]
     if top <= 0:
         return 0
     return int(np.sum(eigs > tol * top))
 
 
-def _require_full_rank(ensemble: StateEnsemble) -> np.ndarray:
-    g = gram(ensemble)
-    r = numerical_rank(g, tol=SINGULAR_TOL)
+def numerical_rank(g: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Eigenvalues above ``tol`` times the largest one."""
+    return _rank(np.linalg.eigvalsh(g), tol)
+
+
+def _dual_frame(ensemble: StateEnsemble):
+    """Gram eigenvalues, an orthonormal span basis, each state's
+    coordinates in it, and the reciprocal (dual-basis) states'
+    coordinates: <psi~_i|psi_j> = delta_ij.  A linearly dependent
+    ensemble has no reciprocal states and raises NotDiscriminable."""
+    a, g, eigs = _spectrum(ensemble)
+    r = _rank(eigs, SINGULAR_TOL)
     if r < len(ensemble):
         raise NotDiscriminable(
             f"ensemble spans only {r} dimensions for {len(ensemble)} states; "
             "unambiguous discrimination requires linear independence"
         )
-    return g
-
-
-def reciprocal_states(ensemble: StateEnsemble) -> list[FockVector]:
-    """Dual-basis vectors: <psi~_i|psi_j> = delta_ij.
-
-    Built as |psi~_i> = sum_j (G^-1)_ji |psi_j>.  Requires a full-rank
-    ensemble; the linearly dependent case raises NotDiscriminable.
-    """
-    g = _require_full_rank(ensemble)
-    ginv = np.linalg.inv(g)
-    out = []
-    for i in range(len(ensemble)):
-        acc = None
-        for j, s in enumerate(ensemble.states):
-            term = complex(ginv[j, i]) * s
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def _span_coordinates(ensemble: StateEnsemble, g: np.ndarray):
-    """Orthonormal span basis, each state's coordinates in it, and the
-    reciprocal-state dyads |psi~_i><psi~_i| in that basis."""
-    patterns, a = ambient_matrix(ensemble.states)
     _, svals, vh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(svals > SINGULAR_TOL * svals[0]))
-    basis = vh[:r]
+    basis = vh[: int(np.sum(svals > SINGULAR_TOL * svals[0]))]
+    if len(basis) != len(ensemble):
+        raise NotDiscriminable("span dimension disagrees with Gram rank")
     coords = a @ basis.conj().T  # (k, r): coords[i, m] = <b_m|psi_i>
-    recip = np.linalg.inv(g).T @ coords  # rows: reciprocal-state coords
-    return patterns, basis, coords, [np.outer(r_i, r_i.conj()) for r_i in recip]
+    recip = np.linalg.inv(g).T @ coords
+    return eigs, basis, coords, recip
 
 
-def _assemble_povm(ensemble, patterns, basis, coords, elements) -> UsdPovm:
-    """The measurement with these conclusive elements and the inconclusive rest."""
+def _assemble_povm(ensemble, basis, coords, recip, scales) -> UsdPovm:
+    """Conclusive elements scale_i |psi~_i><psi~_i| and the inconclusive rest."""
+    elements = tuple(s * np.outer(r, r.conj()) for s, r in zip(scales, recip))
     inconclusive = np.eye(coords.shape[1], dtype=complex) - sum(elements)
     probs = np.array(
         [float(np.real(c.conj() @ e @ c)) for c, e in zip(coords, elements)]
     )
     return UsdPovm(
         ensemble=ensemble,
-        patterns=patterns,
         span_basis=basis,
         conclusive_elements=elements,
         inconclusive_element=inconclusive,
         conclusive_probabilities=probs,
+        reciprocal_norms=np.linalg.norm(recip, axis=1),
         min_inconclusive_eigenvalue=float(np.linalg.eigvalsh(inconclusive)[0]),
     )
 
@@ -196,14 +188,9 @@ def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
     boundary certificate: the inconclusive element's minimum eigenvalue
     is zero to numerical precision.
     """
-    g = _require_full_rank(ensemble)
-    eigs = np.linalg.eigvalsh(g)
+    eigs, basis, coords, recip = _dual_frame(ensemble)
     q = float(eigs[0])
-    patterns, basis, coords, dyads = _span_coordinates(ensemble, g)
-    if coords.shape[1] != len(ensemble):
-        raise NotDiscriminable("span dimension disagrees with Gram rank")
-    elements = tuple(q * d for d in dyads)
-    povm = _assemble_povm(ensemble, patterns, basis, coords, elements)
+    povm = _assemble_povm(ensemble, basis, coords, recip, [q] * len(ensemble))
     lam = povm.min_inconclusive_eigenvalue
     # boundary-tightness certificate; the achievable resolution degrades
     # with the conditioning of the Gram inversion
@@ -226,13 +213,12 @@ def usd_povm_weighted(ensemble: StateEnsemble, weights=None) -> UsdPovm:
     an independent route to the equal-probability optimum; unequal
     weights trade conclusive probability between states.
     """
-    g = _require_full_rank(ensemble)
+    _, basis, coords, recip = _dual_frame(ensemble)
     k = len(ensemble)
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (k,) or np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weights must be non-negative with at least one positive")
-    patterns, basis, coords, dyads = _span_coordinates(ensemble, g)
-    weighted_sum = sum(wi * d for wi, d in zip(w, dyads))
+    weighted_sum = sum(wi * np.outer(r, r.conj()) for wi, r in zip(w, recip))
     eye = np.eye(coords.shape[1], dtype=complex)
 
     def feasible(c: float) -> bool:
@@ -251,49 +237,4 @@ def usd_povm_weighted(ensemble: StateEnsemble, weights=None) -> UsdPovm:
             hi = mid
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
-    elements = tuple(lo * wi * d for wi, d in zip(w, dyads))
-    return _assemble_povm(ensemble, patterns, basis, coords, elements)
-
-
-def _outcome_probabilities(povm: UsdPovm, state: FockVector) -> np.ndarray:
-    index = {p: k for k, p in enumerate(povm.patterns)}
-    amb = np.zeros(len(povm.patterns), dtype=complex)
-    for p, amp in state.items():
-        k = index.get(p)
-        if k is not None:  # amplitude outside the span is always inconclusive
-            amb[k] = amp
-    coords = povm.span_basis.conj() @ amb
-    probs = np.array(
-        [float(np.real(coords.conj() @ e @ coords)) for e in povm.conclusive_elements]
-    )
-    total = state.norm_sq()
-    p_inconclusive = total - probs.sum()
-    probs = np.append(probs, p_inconclusive)
-    if np.any(probs < -PSD_TOL) or abs(probs.sum() - 1.0) > 1e-8:
-        raise ConsistencyError(
-            "outcome probabilities are not a distribution; "
-            "the input state must be unit norm"
-        )
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
-def simulate_usd(
-    povm: UsdPovm,
-    state: FockVector,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Sample measurement outcomes on ``state`` with Born probabilities.
-
-    Returns the conclusive outcome index, or None when inconclusive.
-    With ``size`` an array of that many outcomes is drawn instead, with
-    inconclusive encoded as -1.
-    """
-    probs = _outcome_probabilities(povm, state)
-    k = len(probs) - 1
-    if size is None:
-        draw = int(rng.choice(k + 1, p=probs))
-        return None if draw == k else draw
-    draws = rng.choice(k + 1, size=size, p=probs)
-    return np.where(draws == k, -1, draws)
+    return _assemble_povm(ensemble, basis, coords, recip, lo * w)

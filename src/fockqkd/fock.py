@@ -209,17 +209,6 @@ def normalize(v: FockVector) -> tuple[FockVector, float]:
     return v * scale, nsq
 
 
-def tensor(u: FockVector, v: FockVector, n_max: int | None = None) -> FockVector:
-    """Tensor product; mode counts add, amplitudes multiply."""
-    if n_max is None:
-        n_max = max(u.n_max, v.n_max)
-    out: dict[Pattern, complex] = {}
-    for pu, au in u.amps.items():
-        for pv, av in v.amps.items():
-            out[pu + pv] = out.get(pu + pv, 0.0) + au * av
-    return FockVector(u.mode_count + v.mode_count, n_max, out)
-
-
 def rotate_modes(v: FockVector, i: int, j: int, theta: float) -> FockVector:
     """Two-mode rotation acting on creation operators.
 

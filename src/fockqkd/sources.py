@@ -20,7 +20,7 @@ basis corresponds to a vertically polarized receiver photon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from fockqkd.fock import (
     FockVector,
@@ -260,28 +260,13 @@ def alice_measure(
     return outcomes
 
 
-def pdc_qubit(params: SourceParams, basis: str, bit: int) -> ModifiedQubit:
-    """The heralded receiver-bound state of the pair source.
-
-    Convenience wrapper: runs the sender measurement with perfect
-    detectors and returns the accepted branch carrying (basis, bit).
-    The emission probability is the branch probability, approximately
-    amplitude^2 / 4 per (basis, bit).
-    """
-    if params.kind != PDC:
-        raise ParameterError("pdc_qubit requires a pdc source")
-    _check_basis_bit(basis, bit)
-    perfect = replace(params, alice_detector_efficiency=1.0)
-    for branch_bit, ws in pdc_accepted_branches(perfect, basis):
-        if branch_bit == bit:
-            return ModifiedQubit(basis, bit, ws.state, ws.weight)
-    raise ParameterError(f"no accepted branch for basis={basis} bit={bit}")
-
-
 def signal_states(params: SourceParams) -> list[ModifiedQubit]:
-    """The four signal states in fixed order (+0, +1, x0, x1)."""
-    maker = wcp_state if params.kind == WCP else pdc_qubit
-    return [maker(params, basis, bit) for basis in BASES for bit in (0, 1)]
+    """The weak pulse's four signal states in fixed order (+0, +1, x0, x1).
+
+    The pair source's heralded ensemble comes from
+    :func:`fockqkd.attack.analyze`, which runs the sender measurement.
+    """
+    return [wcp_state(params, basis, bit) for basis in BASES for bit in (0, 1)]
 
 
 def ideal_signal_states() -> list[ModifiedQubit]:

@@ -113,6 +113,10 @@ def test_usd_toy_two_state_value(capsys):
     assert rc == 0
     q = float(out.split("conclusive_probability_q ")[1].split()[0])
     assert abs(q - (1.0 - 1.0 / math.sqrt(2.0))) < 1e-6
+    # overlap 1/sqrt(2): <psi~|psi~> = 1/(1 - 1/2) = 2
+    lines = out.splitlines()
+    assert "reciprocal_norm[0] 1.41421356237" in lines
+    assert "reciprocal_norm[1] 1.41421356237" in lines
 
 
 # ----------------------------------------------------------- threshold
@@ -131,25 +135,35 @@ def test_threshold_header_and_fatal_loss_trend(capsys):
 
 
 def test_threshold_row_matches_library(capsys):
-    rc, out, _ = run_cli(["threshold", "--source", "wcp", "--alpha", "0.3"], capsys)
-    assert rc == 0
-    row = dict(zip(HEADER.split(","), out.strip().splitlines()[1].split(",")))
-    src = SourceParams(kind="wcp", amplitude=0.3)
-    stats = multiphoton_stats(src)
-    assert float(row["p1"]) == pytest.approx(stats.p1, rel=1e-9)
-    assert float(row["p_multi_cond"]) == pytest.approx(
-        stats.p_multi_conditional, rel=1e-9
-    )
-    assert float(row["conclusive_rate"]) == pytest.approx(
-        eve_conclusive_rate(src), rel=1e-9
-    )
-    t_star = float(row["t_star"])
-    assert float(row["fatal_loss_percent"]) == pytest.approx(
-        100 * (1 - t_star), rel=1e-9
-    )
-    assert float(row["fatal_loss_db"]) == pytest.approx(
-        -10 * math.log10(t_star), rel=1e-9
-    )
+    # at eta_B 1e-3 the conclusive rate beats the honest yield at t = 1,
+    # so t* saturates at 1 and the fatal loss is 0 dB, printed without a sign
+    for eta_b in ("1", "1e-3"):
+        args = ["threshold", "--source", "wcp", "--alpha", "0.3", "--eta-bob", eta_b]
+        rc, out, _ = run_cli(args, capsys)
+        assert rc == 0
+        row = dict(zip(HEADER.split(","), out.strip().splitlines()[1].split(",")))
+        src = SourceParams(kind="wcp", amplitude=0.3)
+        stats = multiphoton_stats(src)
+        assert float(row["p1"]) == pytest.approx(stats.p1, rel=1e-9)
+        assert float(row["p_multi_cond"]) == pytest.approx(
+            stats.p_multi_conditional, rel=1e-9
+        )
+        assert float(row["conclusive_rate"]) == pytest.approx(
+            eve_conclusive_rate(src), rel=1e-9
+        )
+        t_star = float(row["t_star"])
+        assert float(row["fatal_loss_percent"]) == pytest.approx(
+            100 * (1 - t_star), rel=1e-9
+        )
+        assert float(row["fatal_loss_db"]) == pytest.approx(
+            -10 * math.log10(t_star), rel=1e-9
+        )
+        rc, out, _ = run_cli(args + ["--format", "jsonl"], capsys)
+        assert rc == 0
+        db = json.loads(out)["fatal_loss_db"]
+        assert math.copysign(1.0, db) == 1.0
+    assert t_star == 1.0
+    assert (row["fatal_loss_percent"], row["fatal_loss_db"]) == ("0", "0")
 
 
 def test_threshold_pdc_rows_have_no_threshold(capsys):

@@ -9,7 +9,9 @@ Independent oracles used here:
   over the zero-error family at resolution 1e-4, against the symbolic
   optimum q = 1 - |s|;
 * the reciprocal-state norm for two states against the symbolic 2x2
-  inverse, 1/(1 - s^2).
+  inverse, 1/(1 - s^2);
+* the reciprocal norms against the weighted route: weight on state i
+  alone makes E_i = |psi~_i><psi~_i| / <psi~_i|psi~_i>.
 """
 
 from __future__ import annotations
@@ -20,20 +22,19 @@ import math
 import numpy as np
 import pytest
 
-from fockqkd.fock import DimensionMismatch, FockVector, inner_product
+from fockqkd import discrimination
+from fockqkd.attack import analyze
+from fockqkd.fock import DimensionMismatch, FockVector
 from fockqkd.discrimination import (
-    ConsistencyError,
     NotDiscriminable,
     StateEnsemble,
     UsdPovm,
     gram,
     numerical_rank,
-    reciprocal_states,
-    simulate_usd,
     usd_povm_equal,
     usd_povm_weighted,
 )
-from fockqkd.sources import SourceParams, ideal_bb84_state, pdc_qubit, signal_states
+from fockqkd.sources import SourceParams, ideal_bb84_state, signal_states
 
 SQ2 = math.sqrt(2.0)
 
@@ -43,10 +44,9 @@ def wcp_ensemble(alpha, order=2):
     return StateEnsemble([mq.state for mq in signal_states(params)])
 
 
-def pdc_ensemble(chi):
-    params = SourceParams(kind="pdc", amplitude=chi)
-    states = [pdc_qubit(params, b, i).state for b in ("+", "x") for i in (0, 1)]
-    return StateEnsemble(states)
+def pdc_ensemble(chi, eta=1.0):
+    params = SourceParams(kind="pdc", amplitude=chi, alice_detector_efficiency=eta)
+    return analyze(params).ensemble
 
 
 def two_states_with_overlap(s):
@@ -148,31 +148,28 @@ def test_rank_pdc_is_two(chi):
 
 def test_reciprocal_of_orthonormal_is_identity():
     ens = StateEnsemble([ideal_bb84_state("+", 0), ideal_bb84_state("+", 1)])
-    for psi, tilde in zip(ens.states, reciprocal_states(ens)):
-        assert (psi - tilde).norm() < 1e-12
+    assert np.allclose(usd_povm_equal(ens).reciprocal_norms, 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.3, 1 / SQ2, 0.9])
 def test_reciprocal_two_state_norm(s):
     # symbolic 2x2 inverse: <psi~|psi~> = 1/(1 - s^2)
-    ens = two_states_with_overlap(s)
-    for tilde in reciprocal_states(ens):
-        assert tilde.norm_sq() == pytest.approx(1 / (1 - s * s), rel=1e-10)
+    norms = usd_povm_equal(two_states_with_overlap(s)).reciprocal_norms
+    assert np.allclose(norms**2, 1 / (1 - s * s), rtol=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [0.3, math.sqrt(0.1)])
 def test_reciprocal_duality(alpha):
+    # all weight on state i: E_i = c |psi~_i><psi~_i| with the PSD boundary
+    # at c = 1/<psi~_i|psi~_i>, so by duality state i is identified with
+    # probability 1/<psi~_i|psi~_i> and every other state never
     ens = wcp_ensemble(alpha)
-    tildes = reciprocal_states(ens)
-    for i, tilde in enumerate(tildes):
-        for j, psi in enumerate(ens.states):
-            expect = 1.0 if i == j else 0.0
-            assert abs(inner_product(tilde, psi) - expect) < 1e-10
-
-
-def test_reciprocal_pdc_raises():
-    with pytest.raises(NotDiscriminable):
-        reciprocal_states(pdc_ensemble(0.1))
+    norms = usd_povm_equal(ens).reciprocal_norms
+    for i in range(len(ens)):
+        weights = np.eye(len(ens))[i]
+        probs = usd_povm_weighted(ens, weights=weights).conclusive_probabilities
+        expect = weights / norms[i] ** 2
+        assert np.allclose(probs, expect, rtol=1e-7, atol=1e-12)
 
 
 # ------------------------------------------------------ equal-q POVM
@@ -313,56 +310,45 @@ def test_weighted_rejects_bad_weights():
         usd_povm_weighted(ens, weights=[-1.0, 1.0])
 
 
-# ------------------------------------------------------- simulation
+# ----------------------------------------------------- one spectrum
 
 
-def test_simulate_orthonormal_always_identifies():
-    states = [
-        FockVector.basis((1, 0)),
-        FockVector.basis((0, 1)),
-        FockVector.basis((2, 0)),
-    ]
-    povm = usd_povm_equal(StateEnsemble(states))
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        assert simulate_usd(povm, states[2], rng) == 2
+def count_spectral_calls(monkeypatch, build):
+    """eigvalsh and ambient_matrix calls made by ``build()``."""
+    counts = {"eigvalsh": 0, "ambient_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh)
+    )
+    monkeypatch.setattr(
+        discrimination,
+        "ambient_matrix",
+        counted("ambient_matrix", discrimination.ambient_matrix),
+    )
+    build()
+    return counts
 
 
-def test_simulate_two_state_frequencies():
-    s = 1 / SQ2
-    ens = two_states_with_overlap(s)
-    povm = usd_povm_equal(ens)
-    rng = np.random.default_rng(42)
-    outcomes = simulate_usd(povm, ens.states[0], rng, size=10**6)
-    freq0 = np.mean(outcomes == 0)
-    assert freq0 == pytest.approx(1 - s, abs=2e-3)
-    # a wrong conclusive label never occurs
-    assert np.sum(outcomes == 1) == 0
-    assert set(np.unique(outcomes)) <= {-1, 0}
+def test_equal_povm_takes_one_gram_spectrum(monkeypatch):
+    # one eigvalsh for the Gram matrix, one for the inconclusive certificate
+    ens = wcp_ensemble(0.3)
+    counts = count_spectral_calls(monkeypatch, lambda: usd_povm_equal(ens))
+    assert counts == {"eigvalsh": 2, "ambient_matrix": 1}
 
 
-def test_simulate_seed_determinism():
-    ens = two_states_with_overlap(0.5)
-    povm = usd_povm_equal(ens)
-    a = simulate_usd(povm, ens.states[1], np.random.default_rng(9), size=1000)
-    b = simulate_usd(povm, ens.states[1], np.random.default_rng(9), size=1000)
-    assert np.array_equal(a, b)
-    x = simulate_usd(povm, ens.states[1], np.random.default_rng(9))
-    y = simulate_usd(povm, ens.states[1], np.random.default_rng(9))
-    assert x == y
+def test_refusal_takes_one_gram_spectrum(monkeypatch):
+    ens = pdc_ensemble(0.1, eta=0.8)
 
+    def refuse():
+        with pytest.raises(NotDiscriminable, match="spans only 8 dimensions"):
+            usd_povm_equal(ens)
 
-def test_simulate_rejects_non_unit_state():
-    ens = two_states_with_overlap(0.5)
-    povm = usd_povm_equal(ens)
-    bad = FockVector.from_terms(2, {(1, 0): 0.7})
-    with pytest.raises(ConsistencyError):
-        simulate_usd(povm, bad, np.random.default_rng(0))
-
-
-def test_simulate_off_span_state_is_inconclusive():
-    ens = two_states_with_overlap(0.5)
-    povm = usd_povm_equal(ens)
-    outside = FockVector.basis((3, 3))
-    outcomes = simulate_usd(povm, outside, np.random.default_rng(1), size=500)
-    assert np.all(outcomes == -1)
+    counts = count_spectral_calls(monkeypatch, refuse)
+    assert counts == {"eigvalsh": 1, "ambient_matrix": 1}

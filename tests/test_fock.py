@@ -27,7 +27,6 @@ from fockqkd.fock import (
     normalize,
     project_counts,
     rotate_modes,
-    tensor,
 )
 from fockqkd.sources import SourceParams, pdc_modified_singlet
 
@@ -140,38 +139,6 @@ def test_normalize_phase_convention_complex():
 def test_normalize_zero_vector_raises():
     with pytest.raises(NearZeroVector):
         normalize(FockVector.from_terms(2, {}))
-
-
-# ---------------------------------------------------------------------- tensor
-
-
-def test_tensor_concatenates_patterns():
-    left = FockVector.basis((0, 1))
-    right = FockVector.basis((1, 0))
-    combined = tensor(left, right)
-    assert combined.amplitude((0, 1, 1, 0)) == pytest.approx(1.0)
-    assert combined.mode_count == 4
-
-
-def test_tensor_vacuum():
-    vac = FockVector.vacuum(2)
-    assert tensor(vac, vac).amplitude((0, 0, 0, 0)) == pytest.approx(1.0)
-
-
-def test_tensor_norm_multiplicative():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        u = random_state(rng, n_terms=3, n_max=3)
-        v = random_state(rng, n_terms=3, n_max=3)
-        combined = tensor(u, v, n_max=6)
-        assert combined.norm() == pytest.approx(u.norm() * v.norm(), rel=1e-12)
-
-
-def test_tensor_truncation_overflow():
-    u = FockVector.basis((4, 0), n_max=6)
-    v = FockVector.basis((3, 0), n_max=6)
-    with pytest.raises(FockError):
-        tensor(u, v)
 
 
 # -------------------------------------------------------------------- rotation

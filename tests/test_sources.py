@@ -23,7 +23,6 @@ from fockqkd.sources import (
     ideal_bb84_state,
     pdc_accepted_branches,
     pdc_modified_singlet,
-    pdc_qubit,
     signal_states,
     wcp_state,
 )
@@ -272,11 +271,9 @@ def test_pdc_heralded_span_is_two_dimensional():
 
 def test_pdc_qubit_emission_probability():
     chi = 0.1
-    mq = pdc_qubit(pdc_params(chi), "+", 0)
-    exact = (chi**2 / 4 + chi**4 / 8) / (1 + 1.25 * chi**4)
-    assert mq.emission_probability == pytest.approx(exact, rel=1e-12)
-    # loose agreement with the leading-order reading chi^2/4
-    assert mq.emission_probability == pytest.approx(chi**2 / 4, rel=2e-2)
+    for _, ws in pdc_accepted_branches(pdc_params(chi), "+"):
+        # leading-order reading of the exact branch weight: chi^2/4
+        assert ws.weight == pytest.approx(chi**2 / 4, rel=2e-2)
 
 
 @pytest.mark.parametrize("basis", ["+", "x"])
@@ -284,18 +281,15 @@ def test_pdc_qubit_emission_probability():
 def test_pdc_qubit_first_order_is_ideal(basis, bit):
     # equality up to the stored global phase: canonical phase fixing can
     # flip the overall sign relative to the textbook ket
-    mq = pdc_qubit(pdc_params(0.1, order=1), basis, bit)
-    overlap = inner_product(mq.state, ideal_bb84_state(basis, bit))
+    state = dict(pdc_accepted_branches(pdc_params(0.1, order=1), basis))[bit].state
+    overlap = inner_product(state, ideal_bb84_state(basis, bit))
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pdc_qubit_forces_perfect_sender_detectors():
-    lossy = pdc_params(0.1, eta=0.5)
-    perfect = pdc_params(0.1, eta=1.0)
-    a = pdc_qubit(lossy, "x", 1)
-    b = pdc_qubit(perfect, "x", 1)
-    assert a.emission_probability == pytest.approx(b.emission_probability, rel=1e-15)
-    assert (a.state - b.state).norm() < 1e-15
+def test_signal_states_is_the_weak_pulse_catalog():
+    # the pair source's heralded ensemble comes from attack.analyze
+    with pytest.raises(ParameterError):
+        signal_states(pdc_params(0.1))
 
 
 # ------------------------------------------------------- alice_measure

@@ -2,7 +2,7 @@
 
 Four subcommands cover the library's surface:
 
-* ``states``    — dump the signal-state catalog, Gram matrix and rank;
+* ``states``    — dump the analysed ensemble, its Gram matrix and rank;
 * ``usd``       — the unambiguous-discrimination measurement report;
 * ``threshold`` — loss-threshold sweep over parameter grids (CSV/JSONL);
 * ``simulate``  — a Monte Carlo protocol run serialized as JSON.
@@ -133,12 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=_CHOICES["format"])
 
     for name, doc in (
-        ("states", "dump the four signal states, Gram matrix, and rank"),
+        ("states", "dump the analysed ensemble, its Gram matrix and rank"),
         ("usd", "report the unambiguous-discrimination measurement"),
         ("threshold", "sweep loss thresholds over parameter grids"),
         ("simulate", "run the Monte Carlo protocol and emit a JSON report"),
     ):
-        p = sub.add_parser(name, help=doc)
+        p = sub.add_parser(name, help=doc, description=doc)
         add_shared(p)
         if name == "usd":
             p.add_argument(
@@ -292,9 +292,8 @@ def _cmd_usd(settings: dict[str, Any], stream) -> int:
         ensemble = signal_ensemble(_source_from_settings(settings))
     try:
         povm = usd_povm_equal(ensemble)
-    except NotDiscriminable:
-        rank = numerical_rank(gram(ensemble))
-        print(f"not discriminable (rank {rank})", file=stream)
+    except NotDiscriminable as exc:
+        print(f"not discriminable (rank {exc.span_dim})", file=stream)
         return 0
     q = float(povm.conclusive_probabilities[0])
     print(f"conclusive_probability_q {_format_number(q)}", file=stream)

@@ -12,6 +12,9 @@ A linearly dependent ensemble admits no such measurement at all — that
 case raises :class:`NotDiscriminable`, and it is precisely what makes
 one of the modeled sources immune to the conclusive-measurement attack.
 
+A measurement comes from one SVD of the states stacked as rows of a
+matrix A, never from the Gram matrix G = conj(A)·Aᵀ, whose forming would
+square A's condition number: q is the smallest singular value squared.
 All spectral work happens in an orthonormal basis of the ensemble's
 span, never in the full Fock space.
 """
@@ -36,7 +39,12 @@ SINGULAR_TOL = 1e-12
 
 
 class NotDiscriminable(ValueError):
-    """The ensemble is linearly dependent: no unambiguous measurement exists."""
+    """The ensemble is linearly dependent: no unambiguous measurement
+    exists.  ``span_dim`` is the span dimension the refusal measured."""
+
+    def __init__(self, message: str, span_dim: int):
+        super().__init__(message)
+        self.span_dim = span_dim
 
 
 class ConsistencyError(RuntimeError):
@@ -108,26 +116,20 @@ def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
     return tuple(patterns), a
 
 
-def _spectrum(ensemble: StateEnsemble):
-    """Ambient matrix A, Gram matrix G = conj(A)·Aᵀ and G's ascending
-    eigenvalues, after checking that G is Hermitian and PSD."""
+def gram(ensemble: StateEnsemble) -> np.ndarray:
+    """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states, checked
+    Hermitian and positive semidefinite."""
     _, a = ambient_matrix(ensemble.states)
     g = a.conj() @ a.T
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise ConsistencyError("gram matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] < -PSD_TOL:
+    if np.linalg.eigvalsh(g)[0] < -PSD_TOL:
         raise ConsistencyError("gram matrix is not positive semidefinite")
-    return a, g, eigs
-
-
-def gram(ensemble: StateEnsemble) -> np.ndarray:
-    """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states."""
-    return _spectrum(ensemble)[1]
+    return g
 
 
 def _rank(eigs: np.ndarray, tol: float) -> int:
-    top = eigs[-1]
+    top = np.max(eigs)
     if top <= 0:
         return 0
     return int(np.sum(eigs > tol * top))
@@ -139,24 +141,21 @@ def numerical_rank(g: np.ndarray, tol: float = RANK_TOL) -> int:
 
 
 def _dual_frame(ensemble: StateEnsemble):
-    """Gram eigenvalues, an orthonormal span basis, each state's
-    coordinates in it, and the reciprocal (dual-basis) states'
-    coordinates: <psi~_i|psi_j> = delta_ij.  A linearly dependent
-    ensemble has no reciprocal states and raises NotDiscriminable."""
-    a, g, eigs = _spectrum(ensemble)
-    r = _rank(eigs, SINGULAR_TOL)
+    """From the SVD A = U·S·Vᴴ of the ambient matrix: the singular values S
+    (descending; the Gram eigenvalues are S²), the span basis Vᴴ, the
+    states' coordinates U·S in it and the reciprocal states' U/S, with
+    <psi~_i|psi_j> = delta_ij.  A linearly dependent ensemble raises
+    NotDiscriminable."""
+    _, a = ambient_matrix(ensemble.states)
+    u, svals, vh = np.linalg.svd(a, full_matrices=False)
+    r = _rank(svals**2, SINGULAR_TOL)
     if r < len(ensemble):
         raise NotDiscriminable(
             f"ensemble spans only {r} dimensions for {len(ensemble)} states; "
-            "unambiguous discrimination requires linear independence"
+            "unambiguous discrimination requires linear independence",
+            span_dim=r,
         )
-    _, svals, vh = np.linalg.svd(a, full_matrices=False)
-    basis = vh[: int(np.sum(svals > SINGULAR_TOL * svals[0]))]
-    if len(basis) != len(ensemble):
-        raise NotDiscriminable("span dimension disagrees with Gram rank")
-    coords = a @ basis.conj().T  # (k, r): coords[i, m] = <b_m|psi_i>
-    recip = np.linalg.inv(g).T @ coords
-    return eigs, basis, coords, recip
+    return svals, vh, u * svals, u / svals
 
 
 def _assemble_povm(ensemble, basis, coords, recip, scales) -> UsdPovm:
@@ -188,13 +187,13 @@ def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
     boundary certificate: the inconclusive element's minimum eigenvalue
     is zero to numerical precision.
     """
-    eigs, basis, coords, recip = _dual_frame(ensemble)
-    q = float(eigs[0])
+    svals, basis, coords, recip = _dual_frame(ensemble)
+    q = float(svals[-1] ** 2)
     povm = _assemble_povm(ensemble, basis, coords, recip, [q] * len(ensemble))
     lam = povm.min_inconclusive_eigenvalue
     # boundary-tightness certificate; the achievable resolution degrades
-    # with the conditioning of the Gram inversion
-    cond = float(eigs[-1] / eigs[0])
+    # with the conditioning of the Gram matrix
+    cond = float((svals[0] / svals[-1]) ** 2)
     slack = 50 * np.finfo(float).eps * cond
     if not -max(PSD_TOL, slack) <= lam <= max(1e-6, slack):
         raise ConsistencyError(

@@ -104,10 +104,6 @@ class FockVector:
         pattern = tuple(pattern)
         return FockVector(len(pattern), n_max, {pattern: 1.0})
 
-    @staticmethod
-    def vacuum(mode_count: int, n_max: int = N_MAX_DEFAULT) -> "FockVector":
-        return FockVector(mode_count, n_max, {(0,) * mode_count: 1.0})
-
     # -- inspection ---------------------------------------------------
 
     def items(self) -> Iterator[tuple[Pattern, complex]]:

@@ -9,8 +9,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import fockqkd.discrimination as discrimination_mod
 import fockqkd.fock as fock_mod
 import fockqkd.sources as sources_mod
 from fockqkd import cli
@@ -45,6 +47,14 @@ def test_states_wcp_order_one_reports_rank_three(capsys):
     )
     assert rc == 0
     assert "# numerical rank: 3" in out
+
+
+def test_states_help_names_the_analysed_ensemble(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["states", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "dump the analysed ensemble, its Gram matrix and rank" in out
 
 
 def test_states_zero_amplitude_is_usage_error(capsys):
@@ -284,6 +294,25 @@ def test_threshold_analyses_each_pair_source_once(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 4
     # one sender measurement per basis on one pair state serves all three rows
     assert counts == {"alice_measure": 2, "pdc_modified_singlet": 1}
+
+
+def test_usd_refusal_prints_the_rank_it_measured(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, discrimination_mod, "ambient_matrix")
+    for name in ("svd", "eigvalsh"):
+        counts[name] = 0
+
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rc, out, _ = run_cli(
+        ["usd", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8"], capsys
+    )
+    assert rc == 0
+    assert out == "not discriminable (rank 8)\n"
+    # the refusal's own SVD supplies the printed rank; no second Gram analysis
+    assert counts == {"ambient_matrix": 1, "svd": 1, "eigvalsh": 0}
 
 
 # ------------------------------------------------------------ simulate

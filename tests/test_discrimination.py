@@ -11,19 +11,24 @@ Independent oracles used here:
 * the reciprocal-state norm for two states against the symbolic 2x2
   inverse, 1/(1 - s^2);
 * the reciprocal norms against the weighted route: weight on state i
-  alone makes E_i = |psi~_i><psi~_i| / <psi~_i|psi~_i>.
+  alone makes E_i = |psi~_i><psi~_i| / <psi~_i|psi~_i>;
+* the weak-pulse conclusive rate against lambda_min of the closed-form
+  Gram matrix, bisected in 60-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockqkd import discrimination
-from fockqkd.attack import analyze
+from fockqkd.attack import analyze, eve_conclusive_rate
 from fockqkd.fock import DimensionMismatch, FockVector
 from fockqkd.discrimination import (
     NotDiscriminable,
@@ -310,12 +315,107 @@ def test_weighted_rejects_bad_weights():
         usd_povm_weighted(ens, weights=[-1.0, 1.0])
 
 
+# ------------------------------------------- precision against 60 digits
+
+
+def _reference_q(alpha):
+    """lambda_min of the order-2 weak-pulse Gram matrix in 60-digit decimal.
+
+    G is the closed form of the README (c0 = 1 - alpha^2/2, overlaps
+    (c0^2 + alpha^2 cos + alpha^4 cos^2 / 2) / N).  By Sylvester's law of
+    inertia the number of negative pivots of LDL^T(G - lam I) is the
+    number of eigenvalues below lam; bisection on lam then converges to
+    the smallest one.  Stdlib only, so it shares no code with numpy.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a2 = decimal.Decimal(alpha) ** 2
+        c0 = 1 - a2 / 2
+        norm = c0 * c0 + a2 + a2 * a2 / 2
+        h = 1 / decimal.Decimal(2).sqrt()
+        pol = [(1, 0), (0, 1), (h, h), (h, -h)]
+        g = [
+            [(c0 * c0 + a2 * c + a2 * a2 * c * c / 2) / norm
+             for c in (u[0] * v[0] + u[1] * v[1] for v in pol)]
+            for u in pol
+        ]
+
+        def below(lam):
+            n = len(g)
+            l_ = [[decimal.Decimal(0)] * n for _ in range(n)]
+            d = []
+            for i in range(n):
+                for j in range(i):
+                    l_[i][j] = (
+                        g[i][j] - sum(l_[i][m] * l_[j][m] * d[m] for m in range(j))
+                    ) / d[j]
+                d.append(g[i][i] - lam - sum(l_[i][m] ** 2 * d[m] for m in range(i)))
+            return sum(1 for x in d if x < 0)
+
+        lo, hi = decimal.Decimal(0), decimal.Decimal(1)
+        while hi - lo > hi * decimal.Decimal("1e-20"):
+            mid = (lo + hi) / 2
+            if below(mid) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
+
+
+REFERENCE_Q = {
+    0.003: 5.931076290005e-12,
+    0.01: 7.322174168182e-10,
+    0.03: 5.929945197233e-08,
+    0.1: 7.306185091214e-06,
+    math.sqrt(0.1): 7.115440403364e-04,
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(REFERENCE_Q))
+def test_equal_q_matches_60_digit_reference(alpha):
+    ref = _reference_q(alpha)
+    assert ref == pytest.approx(REFERENCE_Q[alpha], rel=1e-12)
+    params = SourceParams(kind="wcp", amplitude=alpha)
+    assert eve_conclusive_rate(params) == pytest.approx(ref, rel=1e-10)
+    povm = usd_povm_equal(wcp_ensemble(alpha))
+    q = povm.conclusive_probabilities[0]
+    assert np.allclose(povm.conclusive_probabilities, q, rtol=1e-12, atol=0)
+    assert abs(povm.min_inconclusive_eigenvalue) <= 1e-12
+
+
+# ---------------------------------------------- random complex ensembles
+
+# the first eight two-mode patterns, a span large enough for k <= 5 states
+_PATTERNS = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    extra=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equal_povm_on_random_complex_ensembles(k, extra, seed):
+    m = min(k + extra, len(_PATTERNS))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    ens = StateEnsemble(
+        FockVector.from_terms(2, dict(zip(_PATTERNS, row))) for row in rows
+    )
+    povm = usd_povm_equal(ens)
+    check_povm_invariants(povm)
+    q = povm.conclusive_probabilities[0]
+    assert q > 0
+    assert np.allclose(povm.conclusive_probabilities, q, rtol=1e-9, atol=1e-12)
+
+
 # ----------------------------------------------------- one spectrum
 
 
 def count_spectral_calls(monkeypatch, build):
-    """eigvalsh and ambient_matrix calls made by ``build()``."""
-    counts = {"eigvalsh": 0, "ambient_matrix": 0}
+    """svd, eigvalsh, inv and ambient_matrix calls made by ``build()``."""
+    counts = {"svd": 0, "eigvalsh": 0, "inv": 0, "ambient_matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -324,9 +424,8 @@ def count_spectral_calls(monkeypatch, build):
 
         return wrapper
 
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh)
-    )
+    for name in ("svd", "eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(
         discrimination,
         "ambient_matrix",
@@ -337,10 +436,10 @@ def count_spectral_calls(monkeypatch, build):
 
 
 def test_equal_povm_takes_one_gram_spectrum(monkeypatch):
-    # one eigvalsh for the Gram matrix, one for the inconclusive certificate
+    # one SVD for the dual frame, one eigvalsh for the inconclusive certificate
     ens = wcp_ensemble(0.3)
     counts = count_spectral_calls(monkeypatch, lambda: usd_povm_equal(ens))
-    assert counts == {"eigvalsh": 2, "ambient_matrix": 1}
+    assert counts == {"svd": 1, "eigvalsh": 1, "inv": 0, "ambient_matrix": 1}
 
 
 def test_refusal_takes_one_gram_spectrum(monkeypatch):
@@ -351,4 +450,4 @@ def test_refusal_takes_one_gram_spectrum(monkeypatch):
             usd_povm_equal(ens)
 
     counts = count_spectral_calls(monkeypatch, refuse)
-    assert counts == {"eigvalsh": 1, "ambient_matrix": 1}
+    assert counts == {"svd": 1, "eigvalsh": 0, "inv": 0, "ambient_matrix": 1}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -66,35 +67,30 @@ THRESHOLD_COLUMNS = (
     "fatal_loss_db",
 )
 
-_DEFAULTS: dict[str, Any] = {
-    "source": "wcp",
-    "alpha": 0.3,
-    "chi": 0.1,
-    "order": 2,
-    "eta_alice": 1.0,
-    "eta_bob": 1.0,
-    "transmission": 1.0,
-    "loss_db": None,
-    "pulses": 100_000,
-    "seed": 1,
-    "attack": ATTACK_NONE,
-    "format": "csv",
-    "out": None,
-    "toy": False,
-}
 
-
-# Rules shared by each flag and the config field of the same name.
-_CHOICES: dict[str, tuple] = {
-    "source": ("wcp", "pdc"),
-    "order": (1, 2),
-    "format": ("csv", "jsonl"),
-    "attack": (ATTACK_NONE, ATTACK_CONCLUSIVE),
+# One row per setting, given as the flag --key-name or the config field
+# key_name: (default, rule, flag help, the one subcommand with the flag or
+# None for all).  A rule is a tuple of choices, int, float (a number or a
+# grid of numbers, parsed where a command uses it), str or bool.
+_SETTINGS: dict[str, tuple] = {
+    "source": ("wcp", ("wcp", "pdc"), None, None),
+    "alpha": (0.3, float, "weak-pulse amplitude(s), comma-separated for sweeps", None),
+    "chi": (0.1, float, "pair-source coupling(s), comma-separated for sweeps", None),
+    "order": (2, (1, 2), None, None),
+    "eta_alice": (1.0, float, "sender detector efficiency", None),
+    "eta_bob": (1.0, float, "receiver detector efficiency", None),
+    "transmission": (1.0, float, "channel transmission in [0, 1]", None),
+    "loss_db": (None, float, "channel loss in dB", None),
+    "pulses": (100_000, int, None, None),
+    "seed": (1, int, None, None),
+    "out": (None, str, "output file (default: stdout)", None),
+    "format": ("csv", ("csv", "jsonl"), None, None),
+    "toy": (False, bool, "use the built-in two-state ensemble with overlap 1/sqrt(2)",
+            "usd"),
+    "attack": (ATTACK_NONE, (ATTACK_NONE, ATTACK_CONCLUSIVE), None, "simulate"),
 }
-_INTEGERS = ("order", "pulses", "seed")
-# Fields read as a number or a grid of numbers; JSON true/false are not
-# numbers here, although Python's float() would take them as 1 and 0.
-_NUMBERS = ("alpha", "chi", "eta_alice", "eta_bob", "transmission", "loss_db")
+# Channel loss is one setting given either way.
+_LOSS = ("transmission", "loss_db")
 
 
 class UsageError(Exception):
@@ -104,6 +100,17 @@ class UsageError(Exception):
 # ------------------------------------------------------------ parsing
 
 
+def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
+    _, rule, doc, _ = _SETTINGS[key]
+    flag = "--" + key.replace("_", "-")
+    if rule is bool:
+        p.add_argument(flag, action="store_true", default=None, help=doc)
+    elif isinstance(rule, tuple):
+        p.add_argument(flag, type=type(rule[0]), choices=rule, help=doc)
+    else:  # numbers stay text until a command parses the ones it uses
+        p.add_argument(flag, type=int if rule is int else None, help=doc)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockqkd",
@@ -111,45 +118,46 @@ def _build_parser() -> argparse.ArgumentParser:
         "loss thresholds, and Monte Carlo protocol runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--source", choices=_CHOICES["source"])
-        p.add_argument(
-            "--alpha", help="weak-pulse amplitude(s), comma-separated for sweeps"
-        )
-        p.add_argument(
-            "--chi", help="pair-source coupling(s), comma-separated for sweeps"
-        )
-        p.add_argument("--order", type=int, choices=_CHOICES["order"])
-        p.add_argument("--eta-alice", dest="eta_alice", help="sender detector efficiency")
-        p.add_argument("--eta-bob", dest="eta_bob", help="receiver detector efficiency")
-        loss = p.add_mutually_exclusive_group()
-        loss.add_argument("--transmission", help="channel transmission in [0, 1]")
-        loss.add_argument("--loss-db", dest="loss_db", help="channel loss in dB")
-        p.add_argument("--pulses", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=_CHOICES["format"])
-
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file; flags override it")
+    loss = shared.add_mutually_exclusive_group()
+    for key, (_, _, _, command) in _SETTINGS.items():
+        if command is None:
+            _add_flag(loss if key in _LOSS else shared, key)
     for name, doc in (
         ("states", "dump the analysed ensemble, its Gram matrix and rank"),
         ("usd", "report the unambiguous-discrimination measurement"),
         ("threshold", "sweep loss thresholds over parameter grids"),
         ("simulate", "run the Monte Carlo protocol and emit a JSON report"),
     ):
-        p = sub.add_parser(name, help=doc, description=doc)
-        add_shared(p)
-        if name == "usd":
-            p.add_argument(
-                "--toy",
-                action="store_true",
-                default=None,
-                help="use the built-in two-state ensemble with overlap 1/sqrt(2)",
-            )
-        if name == "simulate":
-            p.add_argument("--attack", choices=_CHOICES["attack"])
+        p = sub.add_parser(name, help=doc, description=doc, parents=[shared])
+        for key, (_, _, _, command) in _SETTINGS.items():
+            if command == name:
+                _add_flag(p, key)
     return parser
+
+
+def _check_field(key: str, value: Any) -> Any:
+    """A config value checked by its setting's rule, as the flag's parser
+    would; integers are converted as the flag converts its text."""
+    rule = _SETTINGS[key][1]
+    kind = type(rule[0]) if isinstance(rule, tuple) else rule
+    if kind is int:
+        try:
+            value = int(str(value))
+        except ValueError:
+            raise UsageError(f"config field {key}: {value!r} is not an integer") from None
+    if isinstance(rule, tuple) and value not in rule:
+        raise UsageError(f"config field {key}: {value!r} is not one of {rule}")
+    # JSON true/false are not numbers here, although float() takes them
+    items = value if isinstance(value, list) else [value]
+    if kind is float and any(isinstance(x, bool) for x in items):
+        raise UsageError(f"config field {key}: {value!r} is not a number")
+    if kind is str and not isinstance(value, str):
+        raise UsageError(f"config field {key}: {value!r} is not a string")
+    if kind is bool and not isinstance(value, bool):
+        raise UsageError(f"config field {key}: {value!r} is not true or false")
+    return value
 
 
 def _load_config(path: str) -> dict[str, Any]:
@@ -158,29 +166,15 @@ def _load_config(path: str) -> dict[str, Any]:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must contain a single JSON object")
-    unknown = sorted(set(data) - set(_DEFAULTS))
+    unknown = sorted(set(data) - set(_SETTINGS))
     if unknown:
         raise UsageError(f"unknown config fields: {', '.join(unknown)}")
-    for key, value in data.items():
-        if key in _INTEGERS:
-            try:  # the conversion the flag applies to its text
-                value = data[key] = int(str(value))
-            except ValueError:
-                raise UsageError(f"config field {key}: {value!r} is not an integer") from None
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise UsageError(f"config field {key}: {value!r} is not one of {_CHOICES[key]}")
-        items = value if isinstance(value, list) else [value]
-        if key in _NUMBERS and any(isinstance(x, bool) for x in items):
-            raise UsageError(f"config field {key}: {value!r} is not a number")
-        if key == "out" and not isinstance(value, str):
-            raise UsageError(f"config field out: {value!r} is not a string")
-        if key == "toy" and not isinstance(value, bool):
-            raise UsageError(f"config field toy: {value!r} is not true or false")
-    if "transmission" in data and "loss_db" in data:
+    data = {key: _check_field(key, value) for key, value in data.items()}
+    if all(key in data for key in _LOSS):
         raise UsageError("config fields transmission and loss_db exclude each other")
     return data
 
@@ -192,11 +186,11 @@ def _resolve_settings(args: argparse.Namespace) -> dict[str, Any]:
     ``loss_db``, so an explicit flag for one replaces a config value of
     the other.  ``config_fields`` holds the keys the config file set.
     """
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    settings = {**_DEFAULTS, **config}
-    if getattr(args, "transmission", None) is not None:
+    config = _load_config(args.config) if args.config else {}
+    settings = {key: row[0] for key, row in _SETTINGS.items()} | config
+    if args.transmission is not None:
         settings["loss_db"] = None
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -242,15 +236,8 @@ def _parse_scalar(settings: dict[str, Any], key: str) -> float:
 def _source_from_settings(settings: dict[str, Any]) -> SourceParams:
     kind = settings["source"]
     amplitude = _parse_scalar(settings, "alpha" if kind == "wcp" else "chi")
-    try:
-        return SourceParams(
-            kind=kind,
-            amplitude=amplitude,
-            expansion_order=settings["order"],
-            alice_detector_efficiency=_parse_scalar(settings, "eta_alice"),
-        )
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    eta_a = _parse_scalar(settings, "eta_alice")
+    return SourceParams(kind, amplitude, settings["order"], eta_a)
 
 
 def _format_number(x: float) -> str:
@@ -286,7 +273,7 @@ def _toy_ensemble() -> StateEnsemble:
 
 
 def _cmd_usd(settings: dict[str, Any], stream) -> int:
-    if settings.get("toy"):
+    if settings["toy"]:
         ensemble = _toy_ensemble()
     else:
         ensemble = signal_ensemble(_source_from_settings(settings))
@@ -389,18 +376,14 @@ def _cmd_threshold(settings: dict[str, Any], stream) -> int:
 
 def _cmd_simulate(settings: dict[str, Any], stream) -> int:
     params = _source_from_settings(settings)
-    transmission = _parse_scalar(settings, "transmission")
-    try:
-        channel = ChannelModel(transmission)
-        config = ProtocolConfig(
-            source=params,
-            channel=channel,
-            n_pulses=settings["pulses"],
-            seed=settings["seed"],
-            bob_detector_efficiency=_parse_scalar(settings, "eta_bob"),
-        )
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    channel = ChannelModel(_parse_scalar(settings, "transmission"))
+    config = ProtocolConfig(
+        source=params,
+        channel=channel,
+        n_pulses=settings["pulses"],
+        seed=settings["seed"],
+        bob_detector_efficiency=_parse_scalar(settings, "eta_bob"),
+    )
     report = run_protocol_monte_carlo(config, AttackStrategy(settings["attack"]))
     echo = {
         "source": params.kind,
@@ -422,6 +405,22 @@ def _cmd_simulate(settings: dict[str, Any], stream) -> int:
 # --------------------------------------------------------------- main
 
 
+def _write(text: str, path: str | None) -> None:
+    """A command's whole output, to ``path`` or else to standard output."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed pipe or full disk shows here, not at exit
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        where = path or "standard output"
+        raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -432,25 +431,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             "threshold": _cmd_threshold,
             "simulate": _cmd_simulate,
         }[args.command]
-        if settings["out"]:
-            try:
-                fh = open(settings["out"], "w", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise UsageError(f"cannot write {settings['out']}: {exc.strerror}") from exc
-            with fh:
-                return handler(settings, fh)
-        code = handler(settings, sys.stdout)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        # a run that fails writes nothing, so --out keeps what it held
+        buffer = io.StringIO()
+        code = handler(settings, buffer)
+        _write(buffer.getvalue(), settings["out"])
         return code
     except BrokenPipeError:
         # the reader stopped early; devnull keeps the flush at exit silent
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FockError, ConsistencyError) as exc:

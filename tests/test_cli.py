@@ -57,6 +57,37 @@ def test_states_help_names_the_analysed_ensemble(capsys):
     assert "dump the analysed ensemble, its Gram matrix and rank" in out
 
 
+@pytest.mark.parametrize("command", [[], ["states"], ["usd"], ["threshold"], ["simulate"]])
+def test_help_renders_with_its_description(capsys, command):
+    # argparse %-formats help strings only when it renders them
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--help"])
+    assert exc.value.code == 0
+    sub = parser._subparsers._group_actions[0].choices
+    description = sub[command[0]].description if command else parser.description
+    out = " ".join(capsys.readouterr().out.split())
+    assert description in out
+
+
+def test_each_subcommand_offers_the_table_flags():
+    parser = cli._build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert set(subparsers) == {"states", "usd", "threshold", "simulate"}
+    for name, sub in subparsers.items():
+        flags = {f for f in sub._option_string_actions if f.startswith("--")}
+        expected = {"--help", "--config"} | {
+            "--" + key.replace("_", "-")
+            for key, setting in cli._SETTINGS.items()
+            if setting[3] in (None, name)
+        }
+        assert flags == expected, name
+        # the shared flags come from one parent, built once
+        assert sub._option_string_actions["--alpha"] is (
+            subparsers["states"]._option_string_actions["--alpha"]
+        )
+
+
 def test_states_zero_amplitude_is_usage_error(capsys):
     rc, _, err = run_cli(["states", "--source", "wcp", "--alpha", "0"], capsys)
     assert rc == 2
@@ -508,6 +539,51 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--alpha", "abc"],
+        ["simulate", "--pulses", "0"],
+        ["threshold", "--eta-bob", "2"],
+    ],
+    ids=["alpha-abc", "pulses-0", "eta-bob-2"],
+)
+def test_failed_run_leaves_out_file_as_it_was(tmp_path, capsys, argv):
+    target = tmp_path / "r.json"
+    target.write_text("precious\n")
+    rc, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    assert target.read_text() == "precious\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_errors_are_usage_errors(capsys):
+    rc, out, err = run_cli(["threshold", "--out", "/dev/full"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockqkd.cli", "usd", "--toy"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{", '{"alpha": 0.3}'.encode("utf-16")], ids=["bad-bytes", "utf-16"]
+)
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    rc, out, err = run_cli(["usd", "--config", str(cfg)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: config file is not valid JSON: ")
 
 
 def test_console_entry_point_runs():

@@ -31,6 +31,7 @@ from fockqkd import discrimination
 from fockqkd.attack import analyze, eve_conclusive_rate
 from fockqkd.fock import DimensionMismatch, FockVector
 from fockqkd.discrimination import (
+    ConsistencyError,
     NotDiscriminable,
     StateEnsemble,
     UsdPovm,
@@ -288,9 +289,8 @@ def test_weighted_equal_weights_agrees_with_eigenvalue_route():
     ens = wcp_ensemble(math.sqrt(0.1))
     q_eig = usd_povm_equal(ens).conclusive_probabilities[0]
     povm = usd_povm_weighted(ens)
-    assert np.allclose(povm.conclusive_probabilities, q_eig, rtol=3e-8)
-    # the documented feasibility tolerance of the bisection route
-    check_povm_invariants(povm, tol_cross=1e-8, tol_psd=1.1e-8)
+    assert np.allclose(povm.conclusive_probabilities, q_eig, rtol=1e-12, atol=0)
+    check_povm_invariants(povm)
 
 
 def test_weighted_unequal_trades_probability():
@@ -381,6 +381,21 @@ def test_equal_q_matches_60_digit_reference(alpha):
     q = povm.conclusive_probabilities[0]
     assert np.allclose(povm.conclusive_probabilities, q, rtol=1e-12, atol=0)
     assert abs(povm.min_inconclusive_eigenvalue) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [0.995, 1.0001])
+def test_certificate_refuses_a_scaled_q(monkeypatch, factor):
+    # q off its optimum by 0.5% or 0.01% moves the inconclusive element's
+    # minimum eigenvalue to 5e-3 or -1e-4, far outside PSD_TOL, even at a
+    # small amplitude where the Gram matrix is badly conditioned
+    assemble = discrimination._assemble_povm
+
+    def scaled(ensemble, basis, coords, recip, scales):
+        return assemble(ensemble, basis, coords, recip, np.asarray(scales) * factor)
+
+    monkeypatch.setattr(discrimination, "_assemble_povm", scaled)
+    with pytest.raises(ConsistencyError, match="not at the PSD boundary"):
+        usd_povm_equal(wcp_ensemble(0.003))
 
 
 # ---------------------------------------------- random complex ensembles

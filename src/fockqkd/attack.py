@@ -36,7 +36,7 @@ from fockqkd.discrimination import (
     ambient_matrix,
     usd_povm_equal,
 )
-from fockqkd.fock import EPS_AMP, FockVector, binomial_thinning, rotate_modes
+from fockqkd.fock import EPS_AMP, N_MAX, FockVector, binomial_thinning, rotate_modes
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
@@ -156,7 +156,7 @@ class SimReport:
 
 
 def _total_photon_distribution(state: FockVector) -> np.ndarray:
-    probs = np.zeros(state.n_max + 1)
+    probs = np.zeros(N_MAX + 1)
     for pattern, amp in state.items():
         probs[sum(pattern)] += abs(amp) ** 2
     return probs / probs.sum()
@@ -262,7 +262,12 @@ def bob_photon_distribution(source: SourceParams | SourceModel) -> np.ndarray:
 def yield_from_distribution(
     distribution, transmission: float, eta_b: float = 1.0
 ) -> float:
-    """Probability that at least one photon survives to a detector."""
+    """Probability that at least one photon survives to a detector, for
+    0 <= ``transmission`` <= 1 and 0 < ``eta_b`` <= 1 (else ParameterError)."""
+    if not 0.0 <= transmission <= 1.0:
+        raise ParameterError("transmission must lie in [0, 1]")
+    if not 0.0 < eta_b <= 1.0:
+        raise ParameterError("eta_b must lie in (0, 1]")
     s = transmission * eta_b
     return float(
         sum(p * (1.0 - (1.0 - s) ** n) for n, p in enumerate(distribution))
@@ -344,7 +349,10 @@ def eve_conclusive_rate(source: SourceParams | SourceModel) -> float:
 
     Uses the equal-probability unambiguous measurement averaged over the
     priors.  A linearly dependent catalog admits no such measurement, so
-    the rate is 0 — the immune case.
+    the rate is 0, reported as immune.  For the pair source below perfect
+    sender detectors that says only that the heralded branches (28 states
+    in 8 dimensions at eta_A = 0.8) are dependent, not that no
+    measurement learns the (basis, bit) label.
     """
     model = analyze(source)
     if model.conclusive is None:
@@ -361,22 +369,22 @@ def critical_transmission(
     relative tolerance of 1e-12 (the absolute tolerance is set far below
     any t*, so it never decides convergence): below t* the eavesdropper
     meets or beats the honest detection yield with zero induced error.
-    Returns None when the conclusive rate is 0 (no threshold: the
-    protocol is immune to this attack).  ``eta_b`` must lie in (0, 1].
+    Returns None when the conclusive rate is 0: no threshold, reported as
+    immune (what that shows is in :func:`eve_conclusive_rate`).  ``eta_b``
+    must lie in (0, 1].
 
     ``eta_b`` enters the honest side only: the eavesdropper's resends
     count as detected with certainty.  :func:`run_protocol_monte_carlo`
     applies ``eta_b`` to her resends as well, so below 1 its attacked
     yield is ``eta_b`` times the rate and the attack shows below this t*.
     """
-    if not 0.0 < eta_b <= 1.0:
-        raise ParameterError("eta_b must lie in (0, 1]")
     model = analyze(source)
+    dist = model.photon_distribution
+    full_yield = yield_from_distribution(dist, 1.0, eta_b)  # rejects a bad eta_b
     rate = eve_conclusive_rate(model)
     if rate <= 0.0:
         return None
-    dist = model.photon_distribution
-    if rate >= yield_from_distribution(dist, 1.0, eta_b):
+    if rate >= full_yield:
         return 1.0
     t_star = brentq(
         lambda t: yield_from_distribution(dist, t, eta_b) - rate,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-N_MAX_DEFAULT = 6
+N_MAX = 6         # bound on the total photon number of every pattern
 EPS_AMP = 1e-15   # amplitudes below this magnitude are dropped
 EPS_NORM = 1e-12  # vectors with norm at or below this are "numerically zero"
 
@@ -45,16 +45,16 @@ class NearZeroVector(FockError):
     """Normalization was requested for a numerically zero vector."""
 
 
-def _check_pattern(pattern: Pattern, mode_count: int, n_max: int) -> None:
+def _check_pattern(pattern: Pattern, mode_count: int) -> None:
     if len(pattern) != mode_count:
         raise DimensionMismatch(
             f"pattern {pattern} has {len(pattern)} modes, expected {mode_count}"
         )
     if any(n < 0 for n in pattern):
         raise FockError(f"negative occupation in pattern {pattern}")
-    if sum(pattern) > n_max:
+    if sum(pattern) > N_MAX:
         raise TruncationOverflow(
-            f"pattern {pattern} holds {sum(pattern)} photons, bound is {n_max}"
+            f"pattern {pattern} holds {sum(pattern)} photons, bound is {N_MAX}"
         )
 
 
@@ -64,22 +64,22 @@ class FockVector:
 
     Instances are value-like and treated as immutable; all operations
     return new vectors.  Construction validates patterns against
-    ``mode_count`` and ``n_max`` and drops amplitudes below ``EPS_AMP``.
+    ``mode_count`` and the photon bound ``N_MAX`` and drops amplitudes
+    below ``EPS_AMP``.
     """
 
     mode_count: int
-    n_max: int
     amps: Mapping[Pattern, complex]
 
     def __post_init__(self) -> None:
         if self.mode_count < 1:
             raise FockError("mode_count must be positive")
         kept: dict[Pattern, complex] = {}
-        mode_count, n_max = self.mode_count, self.n_max
+        mode_count = self.mode_count
         for pattern, amp in self.amps.items():
             pattern = tuple(map(int, pattern))
-            if len(pattern) != mode_count or min(pattern) < 0 or sum(pattern) > n_max:
-                _check_pattern(pattern, mode_count, n_max)  # raises, naming the fault
+            if len(pattern) != mode_count or min(pattern) < 0 or sum(pattern) > N_MAX:
+                _check_pattern(pattern, mode_count)  # raises, naming the fault
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise FockError(f"non-finite amplitude at {pattern}")
@@ -93,16 +93,13 @@ class FockVector:
     def from_terms(
         mode_count: int,
         terms: Mapping[Pattern, complex] | Iterable[tuple[Pattern, complex]],
-        n_max: int = N_MAX_DEFAULT,
     ) -> "FockVector":
-        if not isinstance(terms, Mapping):
-            terms = dict(terms)
-        return FockVector(mode_count, n_max, dict(terms))
+        return FockVector(mode_count, dict(terms))
 
     @staticmethod
-    def basis(pattern: Iterable[int], n_max: int = N_MAX_DEFAULT) -> "FockVector":
+    def basis(pattern: Iterable[int]) -> "FockVector":
         pattern = tuple(pattern)
-        return FockVector(len(pattern), n_max, {pattern: 1.0})
+        return FockVector(len(pattern), {pattern: 1.0})
 
     # -- inspection ---------------------------------------------------
 
@@ -148,15 +145,13 @@ class FockVector:
         out = dict(self.amps)
         for p, a in other.amps.items():
             out[p] = out.get(p, 0.0) + a
-        return FockVector(self.mode_count, max(self.n_max, other.n_max), out)
+        return FockVector(self.mode_count, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockVector":
-        return FockVector(
-            self.mode_count, self.n_max, {p: a * scalar for p, a in self.amps.items()}
-        )
+        return FockVector(self.mode_count, {p: a * scalar for p, a in self.amps.items()})
 
     __rmul__ = __mul__
 
@@ -176,16 +171,7 @@ class WeightedState:
 def inner_product(u: FockVector, v: FockVector) -> complex:
     """Hermitian inner product <u|v> over the shared sparse support."""
     u._require_same_shape(v)
-    # iterate the smaller support
-    small, big, conj_small = (
-        (u, v, True) if len(u.amps) <= len(v.amps) else (v, u, False)
-    )
-    acc = 0.0 + 0.0j
-    for p, a in small.amps.items():
-        b = big.amps.get(p)
-        if b is not None:
-            acc += (a.conjugate() * b) if conj_small else (b.conjugate() * a)
-    return acc
+    return sum((a.conjugate() * v.amps[p] for p, a in u.amps.items() if p in v.amps), 0j)
 
 
 def normalize(v: FockVector) -> tuple[FockVector, float]:
@@ -247,41 +233,7 @@ def rotate_modes(v: FockVector, i: int, j: int, theta: float) -> FockVector:
                 new_pattern[j] = mj
                 key = tuple(new_pattern)
                 out[key] = out.get(key, 0.0) + new_amp
-    return FockVector(v.mode_count, v.n_max, out)
-
-
-def _count_outcomes(
-    v: FockVector, modes: tuple[int, ...], wanted: Iterable[Pattern] | None = None
-) -> list[tuple[Pattern, WeightedState]]:
-    """:func:`project_counts` for each count pattern in ``wanted``, by
-    default every one up to the per-mode maxima present in ``v``; one pass
-    groups the amplitudes by their counts."""
-    if len(set(modes)) != len(modes):
-        raise DimensionMismatch("projection modes must be distinct")
-    for m in modes:
-        if not 0 <= m < v.mode_count:
-            raise DimensionMismatch(f"mode {m} out of range")
-    total = v.norm_sq()
-    if total <= EPS_NORM**2:
-        raise NearZeroVector("projection of a numerically zero vector")
-    rest = [k for k in range(v.mode_count) if k not in modes]
-    groups: dict[Pattern, dict[Pattern, complex]] = {}
-    for pattern, amp in v.amps.items():  # the counts and the rest fix a pattern
-        reduced = tuple(pattern[k] for k in rest)
-        groups.setdefault(tuple(pattern[m] for m in modes), {})[reduced] = amp
-    if wanted is None:
-        maxima = [max((c[i] for c in groups), default=0) for i in range(len(modes))]
-        wanted = product(*(range(n + 1) for n in maxima))
-    outcomes = []
-    for counts in wanted:
-        remainder = FockVector(len(rest), v.n_max, groups.get(counts, {}))
-        kept_sq = remainder.norm_sq()
-        if math.sqrt(kept_sq) <= EPS_NORM:
-            outcome = WeightedState(None, 0.0)
-        else:
-            outcome = WeightedState(normalize(remainder)[0], kept_sq / total)
-        outcomes.append((counts, outcome))
-    return outcomes
+    return FockVector(v.mode_count, out)
 
 
 def project_counts(
@@ -301,7 +253,7 @@ def project_counts(
         raise DimensionMismatch("one target count per projected mode")
     if any(n < 0 for n in counts):
         raise FockError("negative target count")
-    return _count_outcomes(v, modes, [counts])[0][1]
+    return dict(all_count_outcomes(v, modes)).get(counts, WeightedState(None, 0.0))
 
 
 def all_count_outcomes(
@@ -310,9 +262,34 @@ def all_count_outcomes(
     """(counts, :func:`project_counts` outcome) for every count pattern
     of ``modes`` up to the per-mode maxima present in ``v``, in
     lexicographic order; zero-probability outcomes are included, so the
-    probabilities of a unit-norm input sum to 1.
+    probabilities of a unit-norm input sum to 1.  One pass groups the
+    amplitudes by their counts.
     """
-    return _count_outcomes(v, tuple(modes))
+    modes = tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise DimensionMismatch("projection modes must be distinct")
+    for m in modes:
+        if not 0 <= m < v.mode_count:
+            raise DimensionMismatch(f"mode {m} out of range")
+    total = v.norm_sq()
+    if total <= EPS_NORM**2:
+        raise NearZeroVector("projection of a numerically zero vector")
+    rest = [k for k in range(v.mode_count) if k not in modes]
+    groups: dict[Pattern, dict[Pattern, complex]] = {}
+    for pattern, amp in v.amps.items():  # the counts and the rest fix a pattern
+        reduced = tuple(pattern[k] for k in rest)
+        groups.setdefault(tuple(pattern[m] for m in modes), {})[reduced] = amp
+    maxima = [max((c[i] for c in groups), default=0) for i in range(len(modes))]
+    outcomes = []
+    for counts in product(*(range(n + 1) for n in maxima)):
+        remainder = FockVector(len(rest), groups.get(counts, {}))
+        kept_sq = remainder.norm_sq()
+        if math.sqrt(kept_sq) <= EPS_NORM:
+            outcome = WeightedState(None, 0.0)
+        else:
+            outcome = WeightedState(normalize(remainder)[0], kept_sq / total)
+        outcomes.append((counts, outcome))
+    return outcomes
 
 
 def binomial_thinning(counts: Pattern, keep: float) -> list[tuple[Pattern, float]]:
@@ -339,8 +316,9 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     """Pure-state loss ensemble for one mode, indexed by photons lost.
 
     Each branch k applies the definite-loss operator: a pattern holding n
-    photons in ``mode`` contributes with amplitude factor
-    sqrt(C(n, k)) * t**((n-k)/2) * (1-t)**(k/2) and n -> n-k.  Branch
+    photons in ``mode`` keeps n-k of them, its amplitude scaled by the
+    square root of the :func:`binomial_thinning` probability of keeping
+    n-k with survival ``t``.  Branches come in increasing k; their
     probabilities are relative to the squared norm of ``v`` and sum to 1.
     Branches with zero probability are omitted.
     """
@@ -351,27 +329,17 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     total = v.norm_sq()
     if math.sqrt(total) <= EPS_NORM:
         raise NearZeroVector("loss channel on a numerically zero vector")
-    max_n = max((p[mode] for p in v.amps), default=0)
+    by_lost: dict[int, dict[Pattern, complex]] = {}
+    for pattern, amp in v.amps.items():
+        n = pattern[mode]
+        for (kept,), prob in binomial_thinning((n,), t):
+            key = pattern[:mode] + (kept,) + pattern[mode + 1:]
+            by_lost.setdefault(n - kept, {})[key] = amp * math.sqrt(prob)
     branches: list[WeightedState] = []
-    for k in range(max_n + 1):
-        out: dict[Pattern, complex] = {}
-        for pattern, amp in v.amps.items():
-            n = pattern[mode]
-            if n < k:
-                continue
-            factor = math.sqrt(math.comb(n, k)) * t ** ((n - k) / 2.0) * (
-                1.0 - t
-            ) ** (k / 2.0)
-            if factor == 0.0:
-                continue
-            new_pattern = list(pattern)
-            new_pattern[mode] = n - k
-            key = tuple(new_pattern)
-            out[key] = out.get(key, 0.0) + amp * factor
-        branch = FockVector(v.mode_count, v.n_max, out)
+    for k in sorted(by_lost):
+        branch = FockVector(v.mode_count, by_lost[k])
         bsq = branch.norm_sq()
         if math.sqrt(bsq) <= EPS_NORM:
             continue
-        unit, _ = normalize(branch)
-        branches.append(WeightedState(unit, bsq / total))
+        branches.append(WeightedState(normalize(branch)[0], bsq / total))
     return branches

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from fockqkd.fock import (
     FockVector,
-    N_MAX_DEFAULT,
+    N_MAX,
     Pattern,
     WeightedState,
     all_count_outcomes,
@@ -135,8 +135,7 @@ def _check_basis_bit(basis: str, bit: int) -> None:
 def ideal_bb84_state(basis: str, bit: int) -> FockVector:
     """The ideal single-photon BB84 ket for (basis, bit)."""
     _check_basis_bit(basis, bit)
-    uv, uh = _POLARIZATION[(basis, bit)]
-    return FockVector.from_terms(2, {(1, 0): uv, (0, 1): uh})
+    return FockVector.from_terms(2, _n_photon_polarized(1, *_POLARIZATION[(basis, bit)]))
 
 
 def _n_photon_polarized(n: int, uv: float, uh: float) -> dict[Pattern, float]:
@@ -158,7 +157,7 @@ def wcp_state(
     amplitude: vacuum coefficient 1 - alpha^2/2, one-photon coefficient
     alpha, and (at order 2) two-photon coefficient alpha^2/sqrt(2), all
     in the pulse's polarization mode.  With ``exact_coherent`` the full
-    Poissonian amplitude ladder up to ``N_MAX_DEFAULT`` photons is kept
+    Poissonian amplitude ladder up to ``N_MAX`` photons is kept
     instead — a sensitivity diagnostic, not the default model.
     """
     if params.kind != WCP:
@@ -169,7 +168,7 @@ def wcp_state(
     if exact_coherent:
         coeffs = [
             math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
-            for n in range(N_MAX_DEFAULT + 1)
+            for n in range(N_MAX + 1)
         ]
     else:
         coeffs = [1.0 - alpha**2 / 2.0, alpha]

@@ -110,6 +110,26 @@ def test_yield_single_photon_is_transmission():
     )
 
 
+@pytest.mark.parametrize("transmission, eta_b, fault", [
+    (0.5, -0.5, "eta_b"),
+    (0.5, 0.0, "eta_b"),
+    (0.5, 1.5, "eta_b"),
+    (0.5, math.nan, "eta_b"),
+    (1.5, 1.0, "transmission"),
+    (-0.2, 1.0, "transmission"),
+    (math.nan, 1.0, "transmission"),
+])
+def test_yields_reject_impossible_efficiencies_and_transmissions(
+    transmission, eta_b, fault
+):
+    dist = bob_photon_distribution(wcp(0.3))
+    with pytest.raises(ParameterError, match=fault):
+        yield_from_distribution(dist, transmission, eta_b)
+    if fault == "eta_b":  # a ChannelModel rejects a bad transmission itself
+        with pytest.raises(ParameterError, match=fault):
+            honest_yield(wcp(0.3), ChannelModel(transmission), eta_b)
+
+
 def test_wcp_honest_yield_is_one_minus_vacuum():
     source = wcp(0.3)
     dist = bob_photon_distribution(source)

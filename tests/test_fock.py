@@ -42,7 +42,7 @@ def random_state(rng, mode_count=2, n_max=6, n_terms=5):
             if sum(pattern) <= n_max:
                 break
         amps[pattern] = complex(rng.normal(), rng.normal())
-    return FockVector.from_terms(mode_count, amps, n_max=n_max)
+    return FockVector.from_terms(mode_count, amps)
 
 
 # ---------------------------------------------------------------- construction
@@ -59,12 +59,12 @@ def random_state(rng, mode_count=2, n_max=6, n_terms=5):
 ])
 def test_construction_rejects_each_fault(pattern, amp, error, reason):
     with pytest.raises(error, match=reason) as exc:
-        FockVector(2, 6, {(0, 0): 1.0, pattern: amp})
+        FockVector(2, {(0, 0): 1.0, pattern: amp})
     assert type(exc.value) is error
 
 
 def test_construction_keeps_valid_patterns_as_integer_tuples():
-    v = FockVector(2, 6, {(np.int64(3), 3.0): 0.5, (0, 6): 1e-16, (6, 0): 2})
+    v = FockVector(2, {(np.int64(3), 3.0): 0.5, (0, 6): 1e-16, (6, 0): 2})
     assert v.amps == {(3, 3): 0.5, (6, 0): 2}
     assert all(type(n) is int for p in v.amps for n in p)
 
@@ -274,7 +274,7 @@ def _scan_one_count(v, modes, counts):
         if all(pattern[m] == n for m, n in zip(modes, counts)):
             reduced = tuple(pattern[k] for k in range(v.mode_count) if k not in modes)
             kept[reduced] = kept.get(reduced, 0.0) + amp
-    remainder = FockVector(v.mode_count - len(modes), v.n_max, kept)
+    remainder = FockVector(v.mode_count - len(modes), kept)
     kept_sq = remainder.norm_sq()
     if math.sqrt(kept_sq) <= 1e-12:
         return None, 0.0
@@ -319,7 +319,7 @@ def test_projection_errors():
         project_counts(v, (0, 1), (0, -1))
     with pytest.raises(DimensionMismatch):
         all_count_outcomes(v, (-1,))
-    zero = FockVector(4, 6, {})
+    zero = FockVector(4, {})
     with pytest.raises(NearZeroVector):
         project_counts(zero, (0,), (0,))
     with pytest.raises(NearZeroVector):
@@ -393,6 +393,44 @@ def test_loss_composes_multiplicatively():
 def test_loss_invalid_transmission():
     with pytest.raises(FockError):
         apply_loss(FockVector.basis((1, 0)), 0, 1.5)
+
+
+def _loss_by_closed_form(v, mode, t):
+    """Reference loss ensemble: branch k scales a pattern holding n photons
+    in ``mode`` by sqrt(C(n, k)) t^((n-k)/2) (1-t)^(k/2) and sets n -> n-k."""
+    branches = []
+    for k in range(max(p[mode] for p in v.amps) + 1):
+        kept = {}
+        for pattern, amp in v.amps.items():
+            n = pattern[mode]
+            if n >= k:
+                factor = math.sqrt(math.comb(n, k)) * t ** ((n - k) / 2)
+                factor *= (1 - t) ** (k / 2)
+                kept[pattern[:mode] + (n - k,) + pattern[mode + 1:]] = amp * factor
+        branch = FockVector(v.mode_count, kept)
+        if branch.norm() > 1e-12:
+            branches.append((normalize(branch)[0], branch.norm_sq() / v.norm_sq()))
+    return branches
+
+
+@pytest.mark.parametrize("mode_count", [3, 4])
+def test_loss_at_every_mode_matches_the_closed_form(mode_count):
+    rng = np.random.default_rng(41)
+    for _ in range(15):
+        v = random_state(rng, mode_count=mode_count, n_terms=8)
+        for mode in range(mode_count):
+            for t in (0.0, 0.37, float(rng.uniform(0, 1)), 1.0):
+                got = apply_loss(v, mode, t)
+                want = _loss_by_closed_form(v, mode, t)
+                assert len(got) == len(want)
+                for branch, (state, weight) in zip(got, want):
+                    assert sorted(branch.state.amps) == sorted(state.amps)
+                    assert abs(branch.weight - weight) <= 1e-15
+                    for pattern, amp in state.amps.items():
+                        assert abs(branch.state.amps[pattern] - amp) <= 1e-15
+        for mode in (-1, mode_count):
+            with pytest.raises(DimensionMismatch, match="out of range"):
+                apply_loss(v, mode, 0.5)
 
 
 # ------------------------------------------------------------------- vector API

@@ -44,7 +44,7 @@ from fockqkd.sources import (
     ParameterError,
     SourceParams,
     alice_measure,
-    ideal_bb84_state,
+    ideal_signal_states,
     pdc_modified_singlet,
     signal_states,
 )
@@ -53,12 +53,12 @@ ATTACK_NONE = "none"
 ATTACK_CONCLUSIVE = "intercept_resend_conclusive"
 
 # Fixed per-pulse random layout (doubles drawn from one Philox stream):
-# 0: sender basis, 1: sender bit / measurement-outcome draw, 2: eavesdropper
-# conclusive draw, 3: receiver basis, 4: detected-pattern draw, 5-6 reserved
-# for finer channel models.  Every pulse consumes all seven positions
-# whether or not a column is used, which pins pulse p to stream positions
-# [7p, 7p+7) for any strategy.
-DRAWS_PER_PULSE = 7
+# 0: sender basis, 1: sender bit or heralding outcome, 2: eavesdropper's
+# conclusive draw, 3: receiver basis, 4: detected pattern.  Every pulse
+# consumes all five whether or not a column is read, which pins pulse p to
+# stream positions [5p, 5p+5): honest and attacked runs with one seed
+# share every column.
+DRAWS_PER_PULSE = 5
 _CHUNK = 1 << 20
 
 
@@ -269,9 +269,7 @@ def yield_from_distribution(
     if not 0.0 < eta_b <= 1.0:
         raise ParameterError("eta_b must lie in (0, 1]")
     s = transmission * eta_b
-    return float(
-        sum(p * (1.0 - (1.0 - s) ** n) for n, p in enumerate(distribution))
-    )
+    return float(sum(p * (1.0 - (1.0 - s) ** n) for n, p in enumerate(distribution)))
 
 
 def honest_yield(
@@ -492,7 +490,7 @@ def run_protocol_monte_carlo(
     else:
         # the eavesdropper resends the ideal state of the label she
         # identified, right at the receiver: one table per label
-        sent = [ideal_bb84_state(basis, bit) for basis in BASES for bit in (0, 1)]
+        sent = [mq.state for mq in ideal_signal_states()]
         survival, tables_label = eta_b, np.arange(4)
     patterns, key, cum = _detection_tables(sent, survival)
     icdf = _keyed_cdf(cum, key)

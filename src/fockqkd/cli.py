@@ -47,7 +47,7 @@ from fockqkd.discrimination import (
     NotDiscriminable,
     StateEnsemble,
     gram,
-    numerical_rank,
+    span_dimension,
     usd_povm_equal,
 )
 from fockqkd.fock import FockError, FockVector
@@ -261,7 +261,7 @@ def _cmd_states(settings: dict[str, Any], stream) -> int:
           file=stream)
     for row in g.real:
         print("  ".join(_format_number(x) for x in row), file=stream)
-    print(f"# numerical rank: {numerical_rank(g)}", file=stream)
+    print(f"# numerical rank: {span_dimension(model.ensemble)}", file=stream)
     return 0
 
 

@@ -29,14 +29,9 @@ import numpy as np
 
 from fockqkd.fock import DimensionMismatch, FockVector, Pattern
 
-RANK_TOL = 1e-8
 PSD_TOL = 1e-10
-# Relative eigenvalue threshold below which an ensemble is treated as
-# genuinely linearly dependent.  Deliberately far below RANK_TOL: the
-# structural rank (default tolerance above) separates physical
-# second-order effects from noise, while discriminability only fails at
-# true singularity — the smallest useful conclusive probabilities sit
-# well below RANK_TOL times the largest eigenvalue.
+# The one rank rule, of the USD refusal and of ``states``: a Gram eigenvalue
+# (a squared singular value) counts if above SINGULAR_TOL times the largest.
 SINGULAR_TOL = 1e-12
 
 
@@ -131,15 +126,20 @@ def gram(ensemble: StateEnsemble) -> np.ndarray:
 
 
 def _rank(eigs: np.ndarray, tol: float) -> int:
-    top = np.max(eigs)
-    if top <= 0:
-        return 0
-    return int(np.sum(eigs > tol * top))
+    """Eigenvalues above ``tol`` times the largest; 0 if none is positive."""
+    return int(np.sum(eigs > tol * max(np.max(eigs), 0.0)))
 
 
-def numerical_rank(g: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Eigenvalues above ``tol`` times the largest one."""
+def numerical_rank(g: np.ndarray, tol: float = SINGULAR_TOL) -> int:
+    """Eigenvalues of the Gram matrix ``g`` above ``tol`` times the largest."""
     return _rank(np.linalg.eigvalsh(g), tol)
+
+
+def span_dimension(ensemble: StateEnsemble) -> int:
+    """Span dimension by the USD refusal's rule, from the same SVD of the
+    ambient matrix (see :func:`_dual_frame`)."""
+    _, a = ambient_matrix(ensemble.states)
+    return _rank(np.linalg.svd(a, full_matrices=False)[1] ** 2, SINGULAR_TOL)
 
 
 def _dual_frame(ensemble: StateEnsemble):

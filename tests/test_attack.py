@@ -2,11 +2,14 @@
 
 Monte Carlo checks use fixed seeds, so they are deterministic; the
 statistical tolerances (4 standard errors) were sized against the
-analytic values before freezing the seeds.
+analytic values before freezing the seeds.  Every count field of a
+report is also checked against its exact expectation, built from the
+analysis record and the detection tables (5 standard errors plus one).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -464,43 +467,45 @@ def test_mc_chunking_invariance(monkeypatch):
 
 # Complete reports recorded once and frozen: the draw layout promises that a
 # (seed, pulse index) pair always sees the same stream positions, so any
-# rewrite of the pulse loop must reproduce these exactly.  Each row is
+# rewrite of the pulse loop must reproduce these exactly.  They were last
+# recorded when the layout went from seven draws per pulse to five, after
+# the new stream passed the exact-expectation tests below.  Each row is
 # (source, transmission, n_pulses, seed, attack, eta_b, catalog, chunk,
 # report fields in SimReport order).
 _FROZEN_RUNS = [
     (wcp(0.3), 0.9, 30_000, 1, NO_ATTACK, 1.0, None, None,
-     (30000, 30000, 2523, 0.0841, 0.0841, 1268, 0, 0.0, 23, 0, 0.0,
-      ATTACK_NONE, False)),
+     (30000, 30000, 2488, 0.08293333333333333, 0.08293333333333333, 1271, 0,
+      0.0, 33, 0, 0.0, ATTACK_NONE, False)),
     (wcp(0.3), 3e-3, 200_000, 2, CONCLUSIVE_ATTACK, 1.0, None, None,
-     (200000, 200000, 120, 0.0006, 0.0006, 73, 0, 0.0, 0, 120, 1.0,
+     (200000, 200000, 112, 0.00056, 0.00056, 51, 0, 0.0, 0, 112, 1.0,
       ATTACK_CONCLUSIVE, False)),
     (wcp(0.3), 0.5, 30_000, 3, NO_ATTACK, 0.7, None, None,
-     (30000, 30000, 1032, 0.0344, 0.0344, 518, 0, 0.0, 3, 0, 0.0,
-      ATTACK_NONE, False)),
+     (30000, 30000, 964, 0.03213333333333333, 0.03213333333333333, 491, 0,
+      0.0, 7, 0, 0.0, ATTACK_NONE, False)),
     (wcp(0.3), 3e-3, 200_000, 4, CONCLUSIVE_ATTACK, 0.7, None, None,
-     (200000, 200000, 104, 0.00052, 0.00052, 59, 0, 0.0, 0, 144, 1.0,
+     (200000, 200000, 82, 0.00041, 0.00041, 40, 0, 0.0, 0, 124, 1.0,
       ATTACK_CONCLUSIVE, False)),
     (pdc(0.3), 0.5, 100_000, 5, NO_ATTACK, 1.0, None, None,
-     (100000, 4748, 2359, 0.4968407750631845, 0.02359, 1179, 11,
-      0.009329940627650551, 54, 0, 0.0, ATTACK_NONE, False)),
+     (100000, 4613, 2368, 0.5133318881422068, 0.02368, 1197, 12,
+      0.010025062656641603, 61, 0, 0.0, ATTACK_NONE, False)),
     (pdc(0.3, eta=0.8), 0.5, 100_000, 6, NO_ATTACK, 1.0, None, None,
-     (100000, 4542, 1995, 0.4392338177014531, 0.01995, 1027, 15,
-      0.014605647517039922, 52, 0, 0.0, ATTACK_NONE, False)),
+     (100000, 4542, 1961, 0.43174812857771905, 0.01961, 986, 17,
+      0.017241379310344827, 44, 0, 0.0, ATTACK_NONE, False)),
     (pdc(0.3), 0.5, 100_000, 7, CONCLUSIVE_ATTACK, 1.0, None, None,
-     (100000, 4685, 2372, 0.5062966915688367, 0.02372, 1203, 9,
-      0.007481296758104738, 45, 0, 0.0, ATTACK_CONCLUSIVE, True)),
+     (100000, 4732, 2378, 0.5025359256128487, 0.02378, 1203, 13,
+      0.010806317539484621, 46, 0, 0.0, ATTACK_CONCLUSIVE, True)),
     (pdc(0.3, eta=0.8), 0.5, 100_000, 8, CONCLUSIVE_ATTACK, 0.9, None, None,
-     (100000, 4551, 1758, 0.3862887277521424, 0.01758, 899, 14,
-      0.01557285873192436, 43, 0, 0.0, ATTACK_CONCLUSIVE, True)),
+     (100000, 4688, 1839, 0.392278156996587, 0.01839, 922, 16,
+      0.01735357917570499, 44, 0, 0.0, ATTACK_CONCLUSIVE, True)),
     (wcp(), 0.4, 30_000, 9, CONCLUSIVE_ATTACK, 1.0, ideal_signal_states(), None,
-     (30000, 30000, 11783, 0.39276666666666665, 0.39276666666666665, 5972, 0,
+     (30000, 30000, 11803, 0.39343333333333336, 0.39343333333333336, 5969, 0,
       0.0, 0, 0, 0.0, ATTACK_CONCLUSIVE, True)),
     (wcp(0.9), 0.2, 4321, 10, CONCLUSIVE_ATTACK, 1.0, None, 1000,
-     (4321, 4321, 112, 0.025919925943068734, 0.025919925943068734, 60, 0,
-      0.0, 0, 112, 1.0, ATTACK_CONCLUSIVE, False)),
+     (4321, 4321, 118, 0.027308493404304558, 0.027308493404304558, 52, 0,
+      0.0, 0, 118, 1.0, ATTACK_CONCLUSIVE, False)),
     (pdc(0.3, eta=0.8), 0.7, 4321, 11, NO_ATTACK, 1.0, None, 1000,
-     (4321, 204, 133, 0.6519607843137255, 0.03077991205739412, 65, 0, 0.0, 2,
-      0, 0.0, ATTACK_NONE, False)),
+     (4321, 199, 128, 0.6432160804020101, 0.02962277250636427, 64, 1, 0.015625,
+      0, 0, 0.0, ATTACK_NONE, False)),
 ]
 
 
@@ -524,6 +529,141 @@ def test_mc_eta_b_scales_yield():
     sigma = math.sqrt(expected_half / 10**5)
     assert abs(rep_half.detection_yield - expected_half) < 4 * sigma
     assert rep_half.detection_yield < rep_full.detection_yield
+
+
+# ------------------------------------------ exact expectation of a run
+
+_COUNT_FIELDS = ("alice_accepted", "bob_detections", "sifted_bits", "sifted_errors",
+                 "double_clicks", "eve_conclusive_count")
+
+
+def _expected_counts(model, t, n, attack, eta_b):
+    """Exact expected value of each SimReport count field over n pulses.
+
+    Built from the analysis record and the detection tables, never from the
+    sampler's tally: every keyed-CDF entry is expected n·P(table)·p(entry)
+    times, and each entry is sorted into the fields by its detected
+    pattern, the sender's label and the receiver's basis.  Every field
+    counts at most one event per pulse, so each is binomial over n.
+    """
+    # probability per pulse sent of each ensemble state: the sender's basis
+    # (1/2), then her bit (1/2) or her heralding branch, normalised per basis
+    if model.heralding:
+        p_state = np.zeros(len(model.labels))
+        for weights, index in model.heralding:
+            for w, i in zip(weights / weights.sum(), index):
+                if i >= 0:
+                    p_state[i] += 0.5 * w
+    else:
+        p_state = np.full(4, 0.25)
+    conclusive = model.conclusive if attack.kind == ATTACK_CONCLUSIVE else None
+    if conclusive is None:
+        states, survival = model.ensemble.states, t * eta_b
+        p_sent, label_of = p_state, model.labels
+        eve = 0.0
+    else:
+        # only conclusive pulses go on, as the ideal state of their label
+        states, survival = [mq.state for mq in ideal_signal_states()], eta_b
+        p_sent = np.bincount(model.labels, p_state * conclusive, minlength=4)
+        label_of = np.arange(4)
+        eve = n * float(p_sent.sum())
+    patterns, table, cum = attack_mod._detection_tables(states, survival)
+    starts = np.flatnonzero(np.r_[True, table[1:] != table[:-1]])
+    p_entry = np.diff(cum, prepend=0.0)
+    p_entry[starts] = cum[starts]
+    expected = dict.fromkeys(_COUNT_FIELDS, 0.0)
+    expected["alice_accepted"] = n * float(p_state.sum())
+    expected["eve_conclusive_count"] = eve
+    for (clicks_v, clicks_h), k, p in zip(patterns, table, p_entry):
+        e = n * p_sent[k // 2] * 0.5 * p  # the receiver's basis: 1/2
+        label = label_of[k // 2]
+        if clicks_v and clicks_h:
+            expected["double_clicks"] += e
+        elif clicks_v or clicks_h:
+            expected["bob_detections"] += e
+            if label >> 1 == k % 2:  # sender's basis == receiver's basis
+                expected["sifted_bits"] += e
+                # a lone V click reads bit 0, a lone H click bit 1
+                if int(clicks_h > 0) != label & 1:
+                    expected["sifted_errors"] += e
+    return expected
+
+
+def _assert_report_matches_expectation(rep, model, t, n, attack, eta_b):
+    expected = _expected_counts(model, t, n, attack, eta_b)
+    for field, mean in expected.items():
+        count, p = getattr(rep, field), mean / n
+        if p == 0.0:
+            assert count == 0, field
+        else:
+            sigma = math.sqrt(n * p * max(1.0 - p, 0.0))
+            assert abs(count - mean) <= 5 * sigma + 1, (field, count, mean)
+    # the remaining fields follow from the counts and the attack
+    unavailable = attack.kind == ATTACK_CONCLUSIVE and model.conclusive is None
+    acc, det, sifted = rep.alice_accepted, rep.bob_detections, rep.sifted_bits
+    assert rep.pulses_sent == n
+    assert rep.detection_yield == (det / acc if acc else 0.0)
+    assert rep.unconditioned_yield == det / n
+    assert rep.qber == (rep.sifted_errors / sifted if sifted else 0.0)
+    attacked = attack.kind == ATTACK_CONCLUSIVE and not unavailable
+    assert rep.eve_known_fraction_of_sifted == (1.0 if attacked and sifted else 0.0)
+    assert (rep.attack_kind, rep.attack_unavailable) == (attack.kind, unavailable)
+
+
+_ORACLE_SOURCES = {
+    "wcp-0.3-1": lambda: wcp(0.3, order=1),
+    "wcp-0.3-2": lambda: wcp(0.3),
+    "wcp-a0.1-1": lambda: wcp(order=1),
+    "wcp-a0.1-2": lambda: wcp(),
+    "pdc-0.1-eta1": lambda: pdc(0.1),
+    "pdc-0.1-eta0.8": lambda: pdc(0.1, eta=0.8),
+    "pdc-0.3-eta1": lambda: pdc(0.3),
+    "pdc-0.3-eta0.8": lambda: pdc(0.3, eta=0.8),
+    "ideal": ideal_signal_states,
+}
+
+
+@functools.cache
+def _oracle_model(name):
+    return analyze(_ORACLE_SOURCES[name]())
+
+
+@pytest.mark.parametrize("eta_b", [1.0, 0.7])
+@pytest.mark.parametrize("t", [3e-3, 0.5, 0.9])
+@pytest.mark.parametrize("attack", [NO_ATTACK, CONCLUSIVE_ATTACK], ids=["honest", "attacked"])
+@pytest.mark.parametrize("name", list(_ORACLE_SOURCES))
+def test_mc_counts_match_their_exact_expectation(name, attack, t, eta_b):
+    model = _oracle_model(name)
+    n = 200_000
+    seed = 1000 + 100 * list(_ORACLE_SOURCES).index(name) + int(1000 * t) + int(10 * eta_b)
+    rep = run(model, t, n, seed, attack=attack, eta_b=eta_b)
+    _assert_report_matches_expectation(rep, model, t, n, attack, eta_b)
+
+
+def test_mc_counts_match_their_exact_expectation_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(attack_mod, "_CHUNK", 1000)
+    for name, attack in [("pdc-0.3-eta0.8", NO_ATTACK), ("wcp-0.3-2", CONCLUSIVE_ATTACK)]:
+        model = _oracle_model(name)
+        rep = run(model, 0.5, 25_000, seed=17, attack=attack, eta_b=0.7)
+        _assert_report_matches_expectation(rep, model, 0.5, 25_000, attack, 0.7)
+
+
+@pytest.mark.parametrize("eta_b", [1.0, 0.7])
+@pytest.mark.parametrize("t", [3e-3, 0.5, 0.9])
+@pytest.mark.parametrize("name", list(_ORACLE_SOURCES))
+def test_expected_counts_agree_with_the_analytic_yields(name, t, eta_b):
+    model = _oracle_model(name)
+    honest = _expected_counts(model, t, 1, NO_ATTACK, eta_b)
+    clicks = honest["bob_detections"] + honest["double_clicks"]
+    assert clicks / honest["alice_accepted"] == pytest.approx(
+        honest_yield(model, ChannelModel(t), eta_b), rel=1e-12
+    )
+    attacked = _expected_counts(model, t, 1, CONCLUSIVE_ATTACK, eta_b)
+    if model.conclusive is None:  # the attack is unavailable: honest dynamics
+        assert attacked == honest
+        return
+    clicks = attacked["bob_detections"] + attacked["double_clicks"]
+    assert clicks == pytest.approx(eve_conclusive_rate(model) * eta_b, rel=1e-12)
 
 
 # ------------------------------------------------- exact CDF lookup

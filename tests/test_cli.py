@@ -35,18 +35,26 @@ def run_cli(argv, capsys):
 # -------------------------------------------------------------- states
 
 
-def test_states_pdc_reports_rank_two(capsys):
-    rc, out, _ = run_cli(["states", "--source", "pdc", "--chi", "0.1"], capsys)
+@pytest.mark.parametrize("flags, rank", [
+    (["--source", "pdc", "--chi", "0.1"], 2),
+    (["--source", "wcp", "--alpha", "0.3", "--order", "1"], 3),
+    # independent at order 2, however weak the pulse
+    (["--source", "wcp", "--alpha", "0.003"], 4),
+    (["--source", "wcp", "--alpha", "0.01"], 4),
+], ids=["pdc-chi0.1", "wcp-alpha0.3-order1", "wcp-alpha0.003", "wcp-alpha0.01"])
+def test_states_prints_the_rank_usd_uses(capsys, flags, rank):
+    rc, out, _ = run_cli(["states"] + flags, capsys)
     assert rc == 0
-    assert "# numerical rank: 2" in out
-
-
-def test_states_wcp_order_one_reports_rank_three(capsys):
-    rc, out, _ = run_cli(
-        ["states", "--source", "wcp", "--alpha", "0.3", "--order", "1"], capsys
-    )
+    assert f"# numerical rank: {rank}" in out
+    n_states = out.count("# state ")
+    # usd refuses a dependent ensemble naming its span dimension, and tells
+    # an independent one apart: one reciprocal state per dimension
+    rc, out, _ = run_cli(["usd"] + flags, capsys)
     assert rc == 0
-    assert "# numerical rank: 3" in out
+    if rank < n_states:
+        assert out == f"not discriminable (rank {rank})\n"
+    else:
+        assert len(re.findall(r"^reciprocal_norm\[\d+\] ", out, re.M)) == rank
 
 
 def test_states_help_names_the_analysed_ensemble(capsys):
@@ -327,7 +335,8 @@ def test_threshold_analyses_each_pair_source_once(capsys, monkeypatch):
     assert counts == {"alice_measure": 2, "pdc_modified_singlet": 1}
 
 
-def test_usd_refusal_prints_the_rank_it_measured(capsys, monkeypatch):
+def count_spectral_calls(monkeypatch):
+    """Count ``ambient_matrix`` and the ``svd`` and ``eigvalsh`` calls."""
     counts = count_calls(monkeypatch, discrimination_mod, "ambient_matrix")
     for name in ("svd", "eigvalsh"):
         counts[name] = 0
@@ -337,6 +346,11 @@ def test_usd_refusal_prints_the_rank_it_measured(capsys, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_usd_refusal_prints_the_rank_it_measured(capsys, monkeypatch):
+    counts = count_spectral_calls(monkeypatch)
     rc, out, _ = run_cli(
         ["usd", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8"], capsys
     )
@@ -344,6 +358,17 @@ def test_usd_refusal_prints_the_rank_it_measured(capsys, monkeypatch):
     assert out == "not discriminable (rank 8)\n"
     # the refusal's own SVD supplies the printed rank; no second Gram analysis
     assert counts == {"ambient_matrix": 1, "svd": 1, "eigvalsh": 0}
+
+
+def test_states_takes_one_gram_check_and_one_rank_svd(capsys, monkeypatch):
+    counts = count_spectral_calls(monkeypatch)
+    rc, out, _ = run_cli(
+        ["states", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8"], capsys
+    )
+    assert rc == 0
+    assert "# numerical rank: 8" in out
+    # gram() checks positivity with one eigvalsh; the rank is the SVD rule
+    assert counts == {"ambient_matrix": 2, "svd": 1, "eigvalsh": 1}
 
 
 # ------------------------------------------------------------ simulate

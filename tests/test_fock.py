@@ -219,6 +219,26 @@ def test_rotate_norm_preserving_and_invertible():
         assert (back - v).norm() < 1e-12
 
 
+_MODE_PAIRS = [
+    (modes, i, j) for modes in (2, 3, 4) for i in range(modes) for j in range(modes)
+    if i != j
+]
+
+
+@pytest.mark.parametrize("modes, i, j", _MODE_PAIRS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), theta=st.floats(-math.pi, math.pi))
+def test_rotate_every_mode_pair_is_unitary(modes, i, j, seed, theta):
+    # every ordered pair, reversed and non-adjacent ones included
+    rng = np.random.default_rng(seed)
+    u, v = (random_state(rng, mode_count=modes) for _ in range(2))
+    u, v = u * (1.0 / u.norm()), v * (1.0 / v.norm())
+    ru, rv = rotate_modes(u, i, j, theta), rotate_modes(v, i, j, theta)
+    assert abs(inner_product(ru, rv) - inner_product(u, v)) <= 1e-12
+    assert (rotate_modes(rv, i, j, -theta) - v).norm() <= 1e-12
+    assert (rotate_modes(v, j, i, theta) - rotate_modes(v, i, j, -theta)).norm() <= 1e-12
+
+
 def test_rotate_untouched_modes_pass_through():
     v = FockVector.from_terms(4, {(1, 0, 1, 0): 1.0})
     w = rotate_modes(v, 2, 3, math.pi / 4)

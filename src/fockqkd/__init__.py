@@ -1,7 +1,7 @@
 """Truncated-Fock-space simulation and security analysis for BB84-style
 quantum key distribution with realistic photon sources.
 
-The package is organized as a small numpy/scipy library:
+The package is organized as a small library on numpy alone:
 
 * :mod:`fockqkd.fock` — sparse multimode Fock-state algebra (rotations,
   projective counting, photon loss);

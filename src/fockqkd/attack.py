@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from fockqkd.discrimination import (
+    ConsistencyError,
     NotDiscriminable,
     StateEnsemble,
     ambient_matrix,
@@ -269,7 +269,10 @@ def yield_from_distribution(
     if not 0.0 < eta_b <= 1.0:
         raise ParameterError("eta_b must lie in (0, 1]")
     s = transmission * eta_b
-    return float(sum(p * (1.0 - (1.0 - s) ** n) for n, p in enumerate(distribution)))
+    total = reach = 0.0  # s * reach = 1 - (1 - s)^n as a sum of positive terms
+    for p in distribution:
+        total, reach = total + p * reach, 1.0 + (1.0 - s) * reach
+    return float(s * total)
 
 
 def honest_yield(
@@ -363,10 +366,10 @@ def critical_transmission(
 ) -> float | None:
     """Largest channel transmission at which the attack stays hidden.
 
-    Solves honest_yield(t) = conclusive rate with Brent's method to a
-    relative tolerance of 1e-12 (the absolute tolerance is set far below
-    any t*, so it never decides convergence): below t* the eavesdropper
-    meets or beats the honest detection yield with zero induced error.
+    Solves honest_yield(t) = conclusive rate by Newton's method from t = 0
+    to a step of at most 1e-12·t (ConsistencyError after 100 steps); the
+    yield is increasing and concave in t, so every iterate is at or below
+    t*.  Below t* the attack meets or beats the honest yield, error-free.
     Returns None when the conclusive rate is 0: no threshold, reported as
     immune (what that shows is in :func:`eve_conclusive_rate`).  ``eta_b``
     must lie in (0, 1].
@@ -377,21 +380,21 @@ def critical_transmission(
     yield is ``eta_b`` times the rate and the attack shows below this t*.
     """
     model = analyze(source)
-    dist = model.photon_distribution
+    dist = model.photon_distribution.tolist()
     full_yield = yield_from_distribution(dist, 1.0, eta_b)  # rejects a bad eta_b
     rate = eve_conclusive_rate(model)
     if rate <= 0.0:
         return None
     if rate >= full_yield:
         return 1.0
-    t_star = brentq(
-        lambda t: yield_from_distribution(dist, t, eta_b) - rate,
-        0.0,
-        1.0,
-        xtol=1e-300,
-        rtol=1e-12,
-    )
-    return float(t_star)
+    t = 0.0
+    for _ in range(100):
+        slope = sum(n * p * (1.0 - t * eta_b) ** (n - 1) for n, p in enumerate(dist) if n)
+        step = (rate - yield_from_distribution(dist, t, eta_b)) / (eta_b * slope)
+        t += step
+        if step <= 1e-12 * t:
+            return t
+    raise ConsistencyError("Newton's method did not reach t* in 100 steps")
 
 
 # ------------------------------------------------------- Monte Carlo

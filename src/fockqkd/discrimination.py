@@ -213,8 +213,9 @@ def usd_povm_weighted(ensemble: StateEnsemble, weights=None) -> UsdPovm:
     _, basis, coords, recip = _dual_frame(ensemble)
     k = len(ensemble)
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (k,) or np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weights must be non-negative with at least one positive")
+    if w.shape != (k,) or not np.all((w >= 0) & (w < np.inf)) or not np.any(w > 0):
+        raise ValueError("weights must be finite, non-negative, one of them positive")
+    w = w / w.max()  # the measurement does not depend on their scale
     weighted_sum = sum(wi * np.outer(r, r.conj()) for wi, r in zip(w, recip))
     scale = 1.0 / np.linalg.eigvalsh(weighted_sum)[-1]
     return _assemble_povm(ensemble, basis, coords, recip, scale * w)

@@ -9,6 +9,7 @@ analysis record and the detection tables (5 standard errors plus one).
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 
@@ -39,7 +40,7 @@ from fockqkd.attack import (
     signal_ensemble,
     yield_from_distribution,
 )
-from fockqkd.discrimination import usd_povm_equal
+from fockqkd.discrimination import ConsistencyError, usd_povm_equal
 from fockqkd.fock import binomial_thinning, rotate_modes
 from fockqkd.sources import (
     BASES,
@@ -358,6 +359,54 @@ def test_critical_transmission_saturates_at_one():
     # a detector bad enough that even lossless honest yield drops below
     # the conclusive rate
     assert critical_transmission(wcp(), eta_b=1e-3) == 1.0
+
+
+def _reference_t_star(distribution, rate, eta_b):
+    """Root of sum_n p_n (1 - (1 - t eta_b)^n) = rate in 60-digit decimal.
+
+    The same float distribution and rate as the solver sees, bisected on
+    [0, 1] to 1e-30 relative.  At 60 digits the cancellation in
+    1 - (1 - s)^n costs a handful of digits, not the answer.  Stdlib only,
+    so it shares no code with the package.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        probs = [decimal.Decimal(p) for p in distribution]
+        target, eta = decimal.Decimal(rate), decimal.Decimal(eta_b)
+
+        def honest(t):
+            return sum(p * (1 - (1 - t * eta) ** n) for n, p in enumerate(probs))
+
+        lo, hi = decimal.Decimal(0), decimal.Decimal(1)
+        while hi - lo > hi * decimal.Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if honest(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("eta_b", [1.0, 0.5])
+@pytest.mark.parametrize("alpha_sq", [1e-5, 1e-4, 1e-3, 0.1])
+def test_critical_transmission_matches_60_digit_reference(alpha_sq, eta_b):
+    # at t* ~ 7e-7 the yield's 1 - (1 - s)^n must not cancel
+    model = analyze(wcp(math.sqrt(alpha_sq)))
+    ref = _reference_t_star(
+        model.photon_distribution.tolist(), eve_conclusive_rate(model), eta_b
+    )
+    assert critical_transmission(model, eta_b) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_critical_transmission_gives_up_after_100_steps(monkeypatch):
+    # a yield 1000 times flatter than the slope Newton's method assumes: the
+    # steps stay near 7e-5 and never meet the stopping rule
+    exact = attack_mod.yield_from_distribution
+    monkeypatch.setattr(
+        attack_mod, "yield_from_distribution", lambda *args: 1e-3 * exact(*args)
+    )
+    with pytest.raises(ConsistencyError, match="100 steps"):
+        critical_transmission(wcp(math.sqrt(1e-3)))
 
 
 # ------------------------------------------------------- Monte Carlo

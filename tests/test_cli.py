@@ -611,6 +611,36 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys, raw):
     assert err.startswith("error: config file is not valid JSON: ")
 
 
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import fockqkd
+from fockqkd import cli
+runs = [
+    ["states"],
+    ["usd"],
+    ["threshold", "--source", "wcp"],
+    ["threshold", "--source", "pdc"],
+    ["simulate", "--pulses", "1000"],
+    ["simulate", "--pulses", "1000", "--attack", "intercept_resend_conclusive"],
+]
+sys.stderr.write(repr([cli.main(argv) for argv in runs]))
+"""
+
+
+def test_every_subcommand_runs_without_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0]")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fockqkd.cli", "usd", "--toy"],

@@ -31,6 +31,7 @@ from fockqkd import discrimination
 from fockqkd.attack import analyze, eve_conclusive_rate
 from fockqkd.fock import DimensionMismatch, FockVector
 from fockqkd.discrimination import (
+    PSD_TOL,
     ConsistencyError,
     NotDiscriminable,
     StateEnsemble,
@@ -313,6 +314,10 @@ def test_weighted_rejects_bad_weights():
         usd_povm_weighted(ens, weights=[0.0, 0.0])
     with pytest.raises(ValueError):
         usd_povm_weighted(ens, weights=[-1.0, 1.0])
+    with pytest.raises(ValueError):
+        usd_povm_weighted(ens, weights=[math.nan, 1.0])
+    with pytest.raises(ValueError):
+        usd_povm_weighted(ens, weights=[math.inf, 1.0])
 
 
 # ------------------------------------------- precision against 60 digits
@@ -404,6 +409,17 @@ def test_certificate_refuses_a_scaled_q(monkeypatch, factor):
 _PATTERNS = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]
 
 
+def _random_ensemble(k, extra, seed):
+    """k random complex unit states on the first min(k + extra, 8) patterns."""
+    m = min(k + extra, len(_PATTERNS))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return StateEnsemble(
+        FockVector.from_terms(2, dict(zip(_PATTERNS, row))) for row in rows
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     k=st.integers(2, 5),
@@ -411,18 +427,29 @@ _PATTERNS = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2)]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_equal_povm_on_random_complex_ensembles(k, extra, seed):
-    m = min(k + extra, len(_PATTERNS))
-    rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    ens = StateEnsemble(
-        FockVector.from_terms(2, dict(zip(_PATTERNS, row))) for row in rows
-    )
-    povm = usd_povm_equal(ens)
+    povm = usd_povm_equal(_random_ensemble(k, extra, seed))
     check_povm_invariants(povm)
     q = povm.conclusive_probabilities[0]
     assert q > 0
     assert np.allclose(povm.conclusive_probabilities, q, rtol=1e-9, atol=1e-12)
+
+
+_WEIGHT = st.sampled_from([0.0, 5e-324, 1e300]) | st.floats(0.0, 1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    extra=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_weighted_povm_is_positive_for_any_weights(k, extra, seed, data):
+    # subnormal and huge weights alike: only their ratios may matter
+    weights = data.draw(st.lists(_WEIGHT, min_size=k, max_size=k).filter(any))
+    povm = usd_povm_weighted(_random_ensemble(k, extra, seed), weights)
+    check_povm_invariants(povm)
+    assert abs(povm.min_inconclusive_eigenvalue) <= PSD_TOL
 
 
 # ----------------------------------------------------- one spectrum

@@ -390,24 +390,40 @@ def test_loss_mean_photon_scales_by_t():
         assert after == pytest.approx(t * before, abs=1e-10)
 
 
-def test_loss_composes_multiplicatively():
-    # losing with t1 then t2 is the same ensemble as losing with t1*t2
-    rng = np.random.default_rng(31)
-    v = random_state(rng, n_terms=5)
-    unit, _ = normalize(v)
-    t1, t2 = 0.7, 0.55
-    direct = apply_loss(unit, 0, t1 * t2)
-    two_stage = []
-    for first in apply_loss(unit, 0, t1):
-        for second in apply_loss(first.state, 0, t2):
-            two_stage.append((second.state, first.weight * second.weight))
-    for target in direct:
-        matched = sum(
-            w
-            for state, w in two_stage
-            if abs(abs(inner_product(state, target.state)) - 1.0) < 1e-10
+def _density(ensemble):
+    """sum_i w_i |psi_i><psi_i| of (state, weight) pairs, as {(row, col): value}."""
+    rho: dict = {}
+    for state, w in ensemble:
+        for row, a in state.amps.items():
+            for col, b in state.amps.items():
+                rho[row, col] = rho.get((row, col), 0.0) + w * a * b.conjugate()
+    return rho
+
+
+_TRANSMISSION = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modes=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    t1=_TRANSMISSION,
+    t2=_TRANSMISSION,
+)
+def test_loss_composes_multiplicatively(modes, seed, t1, t2):
+    # losing with t1 then t2 is the same mixed state as losing with t1*t2.
+    # Branches are not matched by overlap: at t = 0 several branches can
+    # hold one state, and matching would count their weights more than once.
+    unit, _ = normalize(random_state(np.random.default_rng(seed), mode_count=modes))
+    for mode in range(modes):
+        direct = _density((b.state, b.weight) for b in apply_loss(unit, mode, t1 * t2))
+        two_stage = _density(
+            (second.state, first.weight * second.weight)
+            for first in apply_loss(unit, mode, t1)
+            for second in apply_loss(first.state, mode, t2)
         )
-        assert matched == pytest.approx(target.weight, abs=1e-12)
+        for key in set(direct) | set(two_stage):
+            assert abs(direct.get(key, 0.0) - two_stage.get(key, 0.0)) <= 1e-12
 
 
 def test_loss_invalid_transmission():

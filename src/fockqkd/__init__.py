@@ -3,7 +3,7 @@ quantum key distribution with realistic photon sources.
 
 The package is organized as a small library on numpy alone:
 
-* :mod:`fockqkd.fock` — sparse multimode Fock-state algebra (rotations,
+* :mod:`fockqkd.fock` — dense multimode Fock-state algebra (rotations,
   projective counting, photon loss);
 * :mod:`fockqkd.sources` — signal-state catalogs for weak-coherent-pulse
   and downconversion-pair sources;

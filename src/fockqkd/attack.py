@@ -33,10 +33,9 @@ from fockqkd.discrimination import (
     ConsistencyError,
     NotDiscriminable,
     StateEnsemble,
-    ambient_matrix,
     usd_povm_equal,
 )
-from fockqkd.fock import EPS_AMP, N_MAX, FockVector, binomial_thinning, rotate_modes
+from fockqkd.fock import EPS_AMP, N_MAX, pattern_index, rotation_matrix, thinning_matrix
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
@@ -155,11 +154,14 @@ class SimReport:
 # ---------------------------------------------------- source analysis
 
 
-def _total_photon_distribution(state: FockVector) -> np.ndarray:
-    probs = np.zeros(N_MAX + 1)
-    for pattern, amp in state.items():
-        probs[sum(pattern)] += abs(amp) ** 2
-    return probs / probs.sum()
+def _total_photon_distribution(states) -> np.ndarray:
+    """Row i: the photon-number distribution of ``states[i]``."""
+    a = np.array([s.array for s in states])
+    bins = np.arange(len(a))[:, None] * (N_MAX + 1)  # one bincount, row by row
+    bins = bins + pattern_index(states[0].mode_count)[2].sum(axis=1)
+    probs = np.bincount(bins.ravel(), (np.abs(a) ** 2).ravel(), len(a) * (N_MAX + 1))
+    probs = probs.reshape(len(a), N_MAX + 1)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +222,7 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
         if len(catalog) != 4:
             raise ParameterError("signal catalog must hold the four states")
         states = [mq.state for mq in catalog]
-        dist = _total_photon_distribution(states[0])
+        dist = _total_photon_distribution(states[:1])[0]
         emit = np.array([mq.emission_probability for mq in catalog])
         ensemble = StateEnsemble(states)
         return SourceModel(params, ensemble, np.arange(4), emit, (), dist, dist)
@@ -240,11 +242,11 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
     total_w = sum(weights)
     if total_w == 0.0:
         raise ParameterError("pair source has no accepted branches")
-    dist = sum(w * _total_photon_distribution(s) for w, s in zip(weights, states))
     w = np.asarray(weights)
+    dist = (w[:, None] * _total_photon_distribution(states)).sum(axis=0)
     ensemble = StateEnsemble(states, w / w.sum())
     return SourceModel(source, ensemble, np.array(labels), w, tuple(heralding),
-                       dist / total_w, _total_photon_distribution(singlet))
+                       dist / total_w, _total_photon_distribution([singlet])[0])
 
 
 # ----------------------------------------------------- analytic yields
@@ -406,29 +408,26 @@ def _detection_tables(states, survival: float):
     table order and lexicographic within a table; table 2·i + b is sent
     state i in receiver basis ``BASES[b]``.
 
-    Each ambient pattern is rotated once per basis into a row of R, dropping
-    rotated amplitudes below ``EPS_AMP`` as a Fock vector does.  Loss and
+    The amplitudes are one product of the states' stacked amplitude arrays
+    A with the cached rotation matrices R of both bases, rotated amplitudes
+    below ``EPS_AMP`` dropped as a Fock vector drops them.  Loss and
     detector efficiency commute with the rotation (both act photon-wise and
-    isotropically): the probabilities are |A·R|² times a thinning matrix.
+    isotropically): the probabilities are |A·Rᵀ|² times the cached
+    thinning matrix.
     """
-    ambient, a = ambient_matrix(states)
-    true, r = ambient_matrix([
-        rotate_modes(FockVector.basis(p), 0, 1, MEASUREMENT_ANGLE[b])
-        for b in BASES for p in ambient
-    ])
-    amps = a @ r.reshape(len(BASES), len(ambient), -1)  # (basis, state, pattern)
-    amps = amps.swapaxes(0, 1).reshape(-1, len(true))  # row 2·i + b
+    r = np.concatenate([rotation_matrix(MEASUREMENT_ANGLE[b]) for b in BASES])
+    _, _, detected = pattern_index(2)
+    a = np.array([s.array for s in states])
+    amps = (a @ r.T).reshape(-1, len(detected))  # row 2·i + b
     amps[np.abs(amps) < EPS_AMP] = 0.0
     w = np.abs(amps) ** 2
     w /= w.sum(axis=1, keepdims=True)
-    thinned = [dict(binomial_thinning(q, survival)) for q in true]
-    detected = sorted(set().union(*thinned))
-    probs = w @ np.array([[t.get(d, 0.0) for d in detected] for t in thinned])
+    probs = w @ thinning_matrix(2, survival)
     cum = np.cumsum(probs, axis=1)
     if np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
         raise ParameterError("detected-count probabilities do not sum to 1")
     table, entry = np.nonzero(probs)
-    return np.array(detected, dtype=np.int64)[entry], table, cum[table, entry]
+    return detected[entry], table, cum[table, entry]
 
 
 # Generator.random returns multiples of 2**-53, so u * 2**53 is an exact

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fockqkd.fock import DimensionMismatch, FockVector, Pattern
+from fockqkd.fock import DimensionMismatch, FockVector, Pattern, pattern_index
 
 PSD_TOL = 1e-10
 # The one rank rule, of the USD refusal and of ``states``: a Gram eigenvalue
@@ -59,12 +59,11 @@ class StateEnsemble:
         states = tuple(states)
         if not states:
             raise ValueError("ensemble must contain at least one state")
-        modes = states[0].mode_count
-        for s in states:
-            if s.mode_count != modes:
-                raise DimensionMismatch("ensemble states must share mode_count")
-            if abs(s.norm() - 1.0) > 1e-10:
-                raise ValueError("ensemble states must have unit norm")
+        if any(s.mode_count != states[0].mode_count for s in states):
+            raise DimensionMismatch("ensemble states must share mode_count")
+        amps = np.array([s.array for s in states]).view(float)
+        if np.any(np.abs(np.sqrt(np.square(amps).sum(axis=1)) - 1.0) > 1e-10):
+            raise ValueError("ensemble states must have unit norm")
         if priors is None:
             priors = (1.0 / len(states),) * len(states)
         priors = tuple(float(p) for p in priors)
@@ -103,14 +102,12 @@ class UsdPovm:
 
 
 def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
-    """Stack states into rows over the sorted union of their patterns."""
-    patterns = sorted({p for s in states for p, _ in s.items()})
-    index = {p: k for k, p in enumerate(patterns)}
-    a = np.zeros((len(states), len(patterns)), dtype=complex)
-    for i, s in enumerate(states):
-        for p, amp in s.items():
-            a[i, index[p]] = amp
-    return tuple(patterns), a
+    """Stack the states' amplitude arrays into rows and drop the columns no
+    state holds: the patterns kept, in order, and the (states, kept) matrix."""
+    a = np.array([s.array for s in states])
+    cols = np.flatnonzero(a.any(axis=0))
+    pats = pattern_index(states[0].mode_count)[0]
+    return tuple(pats[k] for k in cols), a[:, cols]
 
 
 def gram(ensemble: StateEnsemble) -> np.ndarray:

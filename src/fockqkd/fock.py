@@ -1,11 +1,17 @@
-"""Sparse linear algebra over a truncated multimode bosonic Fock space.
+"""Dense linear algebra over a truncated multimode bosonic Fock space.
 
-States are finite complex combinations of occupation-number patterns
+States are complex combinations of occupation-number patterns
 ``|n_0, n_1, ..., n_{M-1}>`` with a bound on the *total* photon number.
-Everything here is a pure function over immutable values; the sparse
-representation keeps only patterns whose amplitude survives the drop
-tolerance, so catalogs of weak-source states stay tiny even though the
-ambient space grows combinatorially.
+Each mode count M has one fixed index of its C(N_MAX + M, M) patterns in
+lexicographic order (28 for two modes, 210 for four), and a vector is one
+complex amplitude array over that index.  Each physical step is one
+kernel, built on first use and kept in a bounded cache: the count groups
+that arrange a vector's amplitudes by their counts on some modes (for a
+projection, and for a rotation, which is then the real two-mode rotation
+matrix of its angle times that arrangement), and a thinning matrix per
+survival probability.  Loss is a rotation into an empty environment mode
+followed by a count there.  Everything here is a pure function over
+immutable values.
 
 Mode-ordering conventions used by the rest of the package:
 
@@ -19,12 +25,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 N_MAX = 6         # bound on the total photon number of every pattern
 EPS_AMP = 1e-15   # amplitudes below this magnitude are dropped
 EPS_NORM = 1e-12  # vectors with norm at or below this are "numerically zero"
+_CACHED = 16      # kernels kept per kernel kind
 
 Pattern = tuple[int, ...]
 
@@ -58,34 +68,78 @@ def _check_pattern(pattern: Pattern, mode_count: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """A sparse Fock-space vector: pattern -> complex amplitude.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    Instances are value-like and treated as immutable; all operations
-    return new vectors.  Construction validates patterns against
-    ``mode_count`` and the photon bound ``N_MAX`` and drops amplitudes
-    below ``EPS_AMP``.
+
+def _clean(a: np.ndarray) -> np.ndarray:
+    """``a`` read-only, with its amplitudes below EPS_AMP dropped."""
+    a[np.abs(a) < EPS_AMP] = 0.0
+    return _frozen(a)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise FockError("non-finite amplitude")
+    return a
+
+
+def _norms_sq(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each amplitude row of ``a`` (of ``a`` if 1-D)."""
+    return np.square(a.view(float)).sum(axis=-1)
+
+
+@lru_cache(maxsize=_CACHED)
+def pattern_index(mode_count: int):
+    """The dense index of ``mode_count`` modes: every pattern within the
+    photon bound in lexicographic order, each pattern's position, and the
+    patterns as a read-only (patterns, mode_count) integer array."""
+    pats: list[Pattern] = [()]
+    for _ in range(mode_count):
+        pats = [p + (n,) for p in pats for n in range(N_MAX + 1 - sum(p))]
+    counts = np.array(pats, dtype=np.int64).reshape(len(pats), mode_count)
+    return tuple(pats), {p: k for k, p in enumerate(pats)}, _frozen(counts)
+
+
+class FockVector:
+    """A Fock-space vector: one complex amplitude per pattern of the index
+    of its mode count (see :func:`pattern_index`), in the read-only
+    ``array``.
+
+    Instances are values; all operations return new vectors.  The mapping
+    constructor checks each pattern against ``mode_count`` and the photon
+    bound ``N_MAX`` and each amplitude for finiteness.  Amplitudes below
+    ``EPS_AMP`` are dropped there and after every operation.  ``amps`` and
+    :meth:`items` list the nonzero amplitudes in lexicographic order.
     """
 
-    mode_count: int
-    amps: Mapping[Pattern, complex]
+    __slots__ = ("mode_count", "array")
 
-    def __post_init__(self) -> None:
-        if self.mode_count < 1:
+    def __init__(self, mode_count: int, amps: Mapping[Pattern, complex]):
+        if mode_count < 1:
             raise FockError("mode_count must be positive")
-        kept: dict[Pattern, complex] = {}
-        mode_count = self.mode_count
-        for pattern, amp in self.amps.items():
+        _, position, _ = pattern_index(mode_count)
+        kept: dict[int, complex] = {}
+        for pattern, amp in amps.items():
             pattern = tuple(map(int, pattern))
-            if len(pattern) != mode_count or min(pattern) < 0 or sum(pattern) > N_MAX:
+            if pattern not in position:
                 _check_pattern(pattern, mode_count)  # raises, naming the fault
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise FockError(f"non-finite amplitude at {pattern}")
             if abs(amp) >= EPS_AMP:
-                kept[pattern] = kept.get(pattern, 0.0) + amp
-        object.__setattr__(self, "amps", kept)
+                kept[position[pattern]] = kept.get(position[pattern], 0.0) + amp
+        array = np.zeros(len(position), dtype=complex)
+        array[list(kept)] = list(kept.values())
+        self.mode_count, self.array = mode_count, _frozen(array)
+
+    @classmethod
+    def _of(cls, mode_count: int, array: np.ndarray) -> "FockVector":
+        """Wrap an amplitude array over the index, unchecked (see _clean)."""
+        v = object.__new__(cls)
+        v.mode_count, v.array = mode_count, array
+        return v
 
     # -- constructors -------------------------------------------------
 
@@ -105,14 +159,20 @@ class FockVector:
 
     def items(self) -> Iterator[tuple[Pattern, complex]]:
         """Iterate (pattern, amplitude) in lexicographic pattern order."""
-        for pattern in sorted(self.amps):
-            yield pattern, self.amps[pattern]
+        pats = pattern_index(self.mode_count)[0]
+        for k in np.flatnonzero(self.array):
+            yield pats[k], complex(self.array[k])
+
+    @property
+    def amps(self) -> dict[Pattern, complex]:
+        return dict(self.items())
 
     def amplitude(self, pattern: Iterable[int]) -> complex:
-        return complex(self.amps.get(tuple(pattern), 0.0))
+        k = pattern_index(self.mode_count)[1].get(tuple(pattern))
+        return 0j if k is None else complex(self.array[k])
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        return float(_norms_sq(self.array))
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -122,15 +182,24 @@ class FockVector:
         divide by ``norm_sq`` for a state that is not unit norm)."""
         if not 0 <= mode < self.mode_count:
             raise DimensionMismatch(f"mode {mode} out of range")
-        return sum(p[mode] * abs(a) ** 2 for p, a in self.amps.items())
+        counts = pattern_index(self.mode_count)[2]
+        return float(np.abs(self.array) ** 2 @ counts[:, mode])
 
     def dump_lines(self) -> list[str]:
         """Serialize as ``pattern TAB re TAB im`` lines, lex-sorted."""
         lines = []
         for pattern, amp in self.items():
             name = ",".join(str(n) for n in pattern)
+            amp += 0.0  # a negative zero part prints as 0
             lines.append(f"{name}\t{amp.real:.17g}\t{amp.imag:.17g}")
         return lines
+
+    def __repr__(self) -> str:
+        return f"FockVector({self.mode_count}, {self.amps!r})"
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, FockVector) and self.mode_count == other.mode_count
+        return same and np.array_equal(self.array, other.array)
 
     # -- linear structure --------------------------------------------
 
@@ -142,16 +211,15 @@ class FockVector:
 
     def __add__(self, other: "FockVector") -> "FockVector":
         self._require_same_shape(other)
-        out = dict(self.amps)
-        for p, a in other.amps.items():
-            out[p] = out.get(p, 0.0) + a
-        return FockVector(self.mode_count, out)
+        array = _finite(self.array + other.array)
+        return FockVector._of(self.mode_count, _clean(array))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockVector":
-        return FockVector(self.mode_count, {p: a * scalar for p, a in self.amps.items()})
+        array = _finite(self.array * complex(scalar))
+        return FockVector._of(self.mode_count, _clean(array))
 
     __rmul__ = __mul__
 
@@ -169,9 +237,9 @@ class WeightedState:
 
 
 def inner_product(u: FockVector, v: FockVector) -> complex:
-    """Hermitian inner product <u|v> over the shared sparse support."""
+    """Hermitian inner product <u|v>."""
     u._require_same_shape(v)
-    return sum((a.conjugate() * v.amps[p] for p, a in u.amps.items() if p in v.amps), 0j)
+    return complex(np.vdot(u.array, v.array))
 
 
 def normalize(v: FockVector) -> tuple[FockVector, float]:
@@ -181,14 +249,69 @@ def normalize(v: FockVector) -> tuple[FockVector, float]:
     lexicographic pattern order is made real and positive.  The squared
     norm is returned so callers can keep probability bookkeeping exact.
     """
-    nsq = v.norm_sq()
-    if math.sqrt(nsq) <= EPS_NORM:
+    return normalize_rows(v.mode_count, v.array[None])[0]
+
+
+def normalize_rows(mode_count: int, rows) -> list[tuple[FockVector, float]]:
+    """:func:`normalize` for each row of an amplitude matrix over the index
+    of ``mode_count`` modes, in one pass; amplitudes below ``EPS_AMP`` are
+    dropped first."""
+    rows = _clean(_finite(np.array(rows, dtype=complex)))
+    nsq = _norms_sq(rows)
+    if np.any(np.sqrt(nsq) <= EPS_NORM):
         raise NearZeroVector("cannot normalize a numerically zero vector")
-    first = min(v.amps)
-    lead = v.amps[first]
-    phase = lead / abs(lead)
-    scale = phase.conjugate() / math.sqrt(nsq)
-    return v * scale, nsq
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    size, root = np.abs(lead), np.sqrt(nsq)
+    scale = lead.real / size / root - 1j * (lead.imag / size / root)
+    units = _clean(rows * scale[:, None])
+    return [(FockVector._of(mode_count, u), float(q)) for u, q in zip(units, nsq)]
+
+
+@lru_cache(maxsize=_CACHED)
+def rotation_matrix(theta: float) -> np.ndarray:
+    """The real matrix of :func:`rotate_modes` on the two-mode index
+    (read-only): column k is pattern k rotated, entries below ``EPS_AMP``
+    dropped."""
+    pats, position, _ = pattern_index(2)
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.zeros((len(pats), len(pats)))
+    for k, (ni, nj) in enumerate(pats):
+        # |ni, nj> = (a+_i)^ni (a+_j)^nj / sqrt(ni! nj!) |0>
+        base = 1.0 / math.sqrt(math.factorial(ni) * math.factorial(nj))
+        for p in range(ni + 1):
+            coeff_i = math.comb(ni, p) * (c ** p) * (s ** (ni - p))
+            for q in range(nj + 1):
+                coeff_j = math.comb(nj, q) * ((-s) ** q) * (c ** (nj - q))
+                mi, mj = p + q, ni + nj - p - q
+                norm = math.sqrt(math.factorial(mi) * math.factorial(mj))
+                r[position[mi, mj], k] += base * coeff_i * coeff_j * norm
+    r[np.abs(r) < EPS_AMP] = 0.0
+    return _frozen(r)
+
+
+@lru_cache(maxsize=_CACHED)
+def _count_groups(mode_count: int, modes: tuple[int, ...]):
+    """Per pattern of the index: the position of its counts on ``modes``
+    in their own index (a row) and that of the pattern of the other modes
+    (a column); then the (rows, columns) shape these span."""
+    rest = [k for k in range(mode_count) if k not in modes]
+    counts, reduced = pattern_index(len(modes))[1], pattern_index(len(rest))[1]
+    pats = pattern_index(mode_count)[0]
+    return (
+        _frozen(np.array([counts[tuple(p[m] for m in modes)] for p in pats])),
+        _frozen(np.array([reduced[tuple(p[k] for k in rest)] for p in pats])),
+        (len(counts), len(reduced)),
+    )
+
+
+def _grouped(v: FockVector, modes: tuple[int, ...]):
+    """``v``'s amplitudes as a matrix with one row per count pattern of
+    ``modes`` and one column per pattern of the other modes, and the
+    cached count groups that placed them."""
+    group, reduced, shape = _count_groups(v.mode_count, modes)
+    rows = np.zeros(shape, dtype=complex)
+    rows[group, reduced] = v.array
+    return rows, group, reduced
 
 
 def rotate_modes(v: FockVector, i: int, j: int, theta: float) -> FockVector:
@@ -196,44 +319,22 @@ def rotate_modes(v: FockVector, i: int, j: int, theta: float) -> FockVector:
 
     Applies  a+_i -> cos(theta) a+_i + sin(theta) a+_j  and
     a+_j -> -sin(theta) a+_i + cos(theta) a+_j, re-expanding each
-    occupation pattern binomially.  Norm-preserving; rotating by theta and
-    then -theta is the identity.  Photon number in modes (i, j) jointly is
-    conserved, so the truncation bound is never exceeded.
-
-    Args:
-        v: input state.
-        i, j: distinct mode indices defining the rotation plane.
-        theta: rotation angle in radians.
+    occupation pattern binomially: the cached :func:`rotation_matrix`
+    times the amplitudes grouped by their counts on (i, j).
+    Norm-preserving; rotating by theta and then -theta is the identity.
+    Photon number in modes (i, j) jointly is conserved, so the truncation
+    bound is never exceeded.  ``i`` and ``j`` are distinct modes;
+    ``theta`` is in radians.
     """
     if i == j:
         raise DimensionMismatch("rotation requires two distinct modes")
     for m in (i, j):
         if not 0 <= m < v.mode_count:
             raise DimensionMismatch(f"mode {m} out of range")
-    c, s = math.cos(theta), math.sin(theta)
-    out: dict[Pattern, complex] = {}
-    for pattern, amp in v.amps.items():
-        ni, nj = pattern[i], pattern[j]
-        # |ni, nj> = (a+_i)^ni (a+_j)^nj / sqrt(ni! nj!) |0>
-        base = amp / math.sqrt(math.factorial(ni) * math.factorial(nj))
-        for p in range(ni + 1):
-            coeff_i = math.comb(ni, p) * (c ** p) * (s ** (ni - p))
-            for q in range(nj + 1):
-                coeff_j = math.comb(nj, q) * ((-s) ** q) * (c ** (nj - q))
-                mi = p + q
-                mj = ni + nj - p - q
-                new_amp = (
-                    base
-                    * coeff_i
-                    * coeff_j
-                    * math.sqrt(math.factorial(mi) * math.factorial(mj))
-                )
-                new_pattern = list(pattern)
-                new_pattern[i] = mi
-                new_pattern[j] = mj
-                key = tuple(new_pattern)
-                out[key] = out.get(key, 0.0) + new_amp
-    return FockVector(v.mode_count, out)
+    rows, group, reduced = _grouped(v, (i, j))
+    # a real matrix times the (re, im) columns of the amplitudes
+    turned = (rotation_matrix(float(theta)) @ rows.view(float)).view(complex)
+    return FockVector._of(v.mode_count, _clean(turned[group, reduced]))
 
 
 def project_counts(
@@ -262,8 +363,8 @@ def all_count_outcomes(
     """(counts, :func:`project_counts` outcome) for every count pattern
     of ``modes`` up to the per-mode maxima present in ``v``, in
     lexicographic order; zero-probability outcomes are included, so the
-    probabilities of a unit-norm input sum to 1.  One pass groups the
-    amplitudes by their counts.
+    probabilities of a unit-norm input sum to 1.  One scatter by the
+    cached count groups puts each outcome's amplitudes in a row.
     """
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
@@ -274,21 +375,17 @@ def all_count_outcomes(
     total = v.norm_sq()
     if total <= EPS_NORM**2:
         raise NearZeroVector("projection of a numerically zero vector")
-    rest = [k for k in range(v.mode_count) if k not in modes]
-    groups: dict[Pattern, dict[Pattern, complex]] = {}
-    for pattern, amp in v.amps.items():  # the counts and the rest fix a pattern
-        reduced = tuple(pattern[k] for k in rest)
-        groups.setdefault(tuple(pattern[m] for m in modes), {})[reduced] = amp
-    maxima = [max((c[i] for c in groups), default=0) for i in range(len(modes))]
+    rows, group, _ = _grouped(v, modes)
+    _, position, counts = pattern_index(len(modes))
+    rest = v.mode_count - len(modes)
+    kept_sq = _norms_sq(rows)
+    live = np.flatnonzero(np.sqrt(kept_sq) > EPS_NORM)
+    units = dict(zip(live.tolist(), normalize_rows(rest, rows[live])))
     outcomes = []
-    for counts in product(*(range(n + 1) for n in maxima)):
-        remainder = FockVector(len(rest), groups.get(counts, {}))
-        kept_sq = remainder.norm_sq()
-        if math.sqrt(kept_sq) <= EPS_NORM:
-            outcome = WeightedState(None, 0.0)
-        else:
-            outcome = WeightedState(normalize(remainder)[0], kept_sq / total)
-        outcomes.append((counts, outcome))
+    maxima = counts[group[v.array != 0]].max(axis=0)
+    for c in product(*(range(n + 1) for n in maxima)):
+        unit, kept = units.get(position.get(c, -1), (None, 0.0))
+        outcomes.append((c, WeightedState(unit, kept / total)))
     return outcomes
 
 
@@ -312,34 +409,36 @@ def binomial_thinning(counts: Pattern, keep: float) -> list[tuple[Pattern, float
     return out
 
 
+@lru_cache(maxsize=_CACHED)
+def thinning_matrix(mode_count: int, keep: float) -> np.ndarray:
+    """:func:`binomial_thinning` on the index as a read-only matrix: entry
+    (true, kept) is the probability that pattern ``true`` thins to ``kept``."""
+    table = np.zeros((N_MAX + 1, N_MAX + 1))  # (n, d): d of n photons kept
+    for n in range(N_MAX + 1):
+        for (d,), prob in binomial_thinning((n,), keep):
+            table[n, d] = prob
+    counts = pattern_index(mode_count)[2]
+    return _frozen(np.prod(table[counts[:, None, :], counts[None, :, :]], axis=-1))
+
+
 def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     """Pure-state loss ensemble for one mode, indexed by photons lost.
 
-    Each branch k applies the definite-loss operator: a pattern holding n
-    photons in ``mode`` keeps n-k of them, its amplitude scaled by the
-    square root of the :func:`binomial_thinning` probability of keeping
-    n-k with survival ``t``.  Branches come in increasing k; their
-    probabilities are relative to the squared norm of ``v`` and sum to 1.
-    Branches with zero probability are omitted.
+    Loss is a beam splitter: an empty environment mode is appended and
+    rotated with ``mode`` by the angle whose squared cosine is ``t``, and
+    branch k is the outcome of counting k photons there (see
+    :func:`all_count_outcomes`).  A pattern holding n photons in ``mode``
+    keeps n-k of them, its amplitude scaled by the square root of the
+    :func:`binomial_thinning` probability of keeping n-k with survival
+    ``t``.  Branches come in increasing k; their probabilities are relative
+    to the squared norm of ``v`` and sum to 1.  Branches with zero
+    probability are omitted.
     """
     if not 0.0 <= t <= 1.0:
         raise FockError(f"transmission {t} outside [0, 1]")
     if not 0 <= mode < v.mode_count:
         raise DimensionMismatch(f"mode {mode} out of range")
-    total = v.norm_sq()
-    if math.sqrt(total) <= EPS_NORM:
-        raise NearZeroVector("loss channel on a numerically zero vector")
-    by_lost: dict[int, dict[Pattern, complex]] = {}
-    for pattern, amp in v.amps.items():
-        n = pattern[mode]
-        for (kept,), prob in binomial_thinning((n,), t):
-            key = pattern[:mode] + (kept,) + pattern[mode + 1:]
-            by_lost.setdefault(n - kept, {})[key] = amp * math.sqrt(prob)
-    branches: list[WeightedState] = []
-    for k in sorted(by_lost):
-        branch = FockVector(v.mode_count, by_lost[k])
-        bsq = branch.norm_sq()
-        if math.sqrt(bsq) <= EPS_NORM:
-            continue
-        branches.append(WeightedState(normalize(branch)[0], bsq / total))
-    return branches
+    env = v.mode_count
+    wide = FockVector(env + 1, {p + (0,): a for p, a in v.items()})
+    split = rotate_modes(wide, mode, env, math.atan2(math.sqrt(1 - t), math.sqrt(t)))
+    return [b for _, b in all_count_outcomes(split, (env,)) if b.state is not None]

@@ -22,15 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from fockqkd.fock import (
     FockVector,
     N_MAX,
     Pattern,
     WeightedState,
     all_count_outcomes,
-    binomial_thinning,
-    normalize,
+    normalize_rows,
+    pattern_index,
     rotate_modes,
+    thinning_matrix,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -160,11 +163,17 @@ def wcp_state(
     Poissonian amplitude ladder up to ``N_MAX`` photons is kept
     instead — a sensitivity diagnostic, not the default model.
     """
+    return _wcp_states(params, [(basis, bit)], exact_coherent)[0]
+
+
+def _wcp_states(params, labels, exact_coherent=False) -> list[ModifiedQubit]:
+    """:func:`wcp_state` of each (basis, bit) in ``labels``, normalized in
+    one pass."""
     if params.kind != WCP:
         raise ParameterError("wcp_state requires a wcp source")
-    _check_basis_bit(basis, bit)
+    for basis, bit in labels:
+        _check_basis_bit(basis, bit)
     alpha = params.amplitude
-    uv, uh = _POLARIZATION[(basis, bit)]
     if exact_coherent:
         coeffs = [
             math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
@@ -174,12 +183,14 @@ def wcp_state(
         coeffs = [1.0 - alpha**2 / 2.0, alpha]
         if params.expansion_order == 2:
             coeffs.append(alpha**2 / SQ2)
-    amps: dict[Pattern, complex] = {}
-    for n, c in enumerate(coeffs):
-        for pattern, a in _n_photon_polarized(n, uv, uh).items():
-            amps[pattern] = amps.get(pattern, 0.0) + c * a
-    unit, _ = normalize(FockVector.from_terms(2, amps))
-    return ModifiedQubit(basis=basis, bit=bit, state=unit, emission_probability=1.0)
+    position = pattern_index(2)[1]
+    rows = np.zeros((len(labels), len(position)), dtype=complex)
+    for row, label in zip(rows, labels):
+        for n, c in enumerate(coeffs):
+            for pattern, a in _n_photon_polarized(n, *_POLARIZATION[label]).items():
+                row[position[pattern]] = c * a
+    units = normalize_rows(2, rows)
+    return [ModifiedQubit(b, bit, u, 1.0) for (b, bit), (u, _) in zip(labels, units)]
 
 
 def pdc_modified_singlet(params: SourceParams) -> FockVector:
@@ -226,34 +237,38 @@ def alice_measure(
 ) -> list[AliceOutcome]:
     """Measure the sender's two modes of a two-arm state.
 
-    Rotates the sender's modes (angle 0 for the rectilinear basis,
-    -pi/4 for the diagonal one), enumerates all photon-count outcomes,
-    and splits each true count pattern over the detected patterns it can
-    produce by binomial thinning with the sender's detector efficiency
-    (no dark counts; the split is trivial at efficiency 1).  A
-    branch is accepted when the detected counts are (1, 0) or (0, 1);
-    the heralded bit is 0 for the rotated-H detector and 1 for
-    rotated-V.  Branch probabilities sum to 1.
+    One product with the cached rotation matrix turns the sender's modes
+    (angle 0 for the rectilinear basis, -pi/4 for the diagonal one), one
+    scatter by the cached count groups gives every photon-count outcome,
+    and the row of the cached thinning matrix for the sender's detector
+    efficiency splits each true count pattern over the patterns detected
+    (no dark counts; no split at efficiency 1).  A branch is accepted when
+    the detected counts are (1, 0) or (0, 1); the heralded bit is 0 for
+    the rotated-H detector and 1 for rotated-V.  Branch probabilities sum
+    to 1.
     """
     if singlet.mode_count != 4:
         raise ParameterError("sender measurement expects a 4-mode state")
     if basis not in BASES:
         raise ParameterError(f"basis must be one of {BASES}")
     rotated = rotate_modes(singlet, 0, 1, MEASUREMENT_ANGLE[basis])
+    thinning = thinning_matrix(2, params.alice_detector_efficiency)
+    sender = pattern_index(2)[0]
     outcomes: list[AliceOutcome] = []
     for true_counts, branch in all_count_outcomes(rotated, (0, 1)):
         if branch.state is None:
             continue
-        split = binomial_thinning(true_counts, params.alice_detector_efficiency)
-        for detected, split_prob in split:
-            bit = SENDER_BIT_FOR_DETECTED.get(detected)
+        split = thinning[sender.index(true_counts)]
+        for k in np.flatnonzero(split):
+            bit = SENDER_BIT_FOR_DETECTED.get(sender[k])
+            weight = branch.weight * float(split[k])
             outcomes.append(
                 AliceOutcome(
-                    detected=detected,
+                    detected=sender[k],
                     true_counts=true_counts,
                     accepted=bit is not None,
                     bit=bit,
-                    bob_state=WeightedState(branch.state, branch.weight * split_prob),
+                    bob_state=WeightedState(branch.state, weight),
                 )
             )
     return outcomes
@@ -265,7 +280,7 @@ def signal_states(params: SourceParams) -> list[ModifiedQubit]:
     The pair source's heralded ensemble comes from
     :func:`fockqkd.attack.analyze`, which runs the sender measurement.
     """
-    return [wcp_state(params, basis, bit) for basis in BASES for bit in (0, 1)]
+    return _wcp_states(params, [(basis, bit) for basis in BASES for bit in (0, 1)])
 
 
 def ideal_signal_states() -> list[ModifiedQubit]:

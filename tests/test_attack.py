@@ -198,15 +198,15 @@ def test_vacuum_distribution_convention():
 
 
 def test_eve_rate_wcp_frozen_values():
-    assert eve_conclusive_rate(wcp()) == pytest.approx(7.115440403364e-04, rel=1e-9)
-    assert eve_conclusive_rate(wcp(0.3)) == pytest.approx(5.783835361421e-04, rel=1e-9)
+    assert eve_conclusive_rate(wcp()) == pytest.approx(7.115440403364e-04, rel=1e-9, abs=0)
+    assert eve_conclusive_rate(wcp(0.3)) == pytest.approx(5.783835361421e-04, rel=1e-9, abs=0)
 
 
 def test_eve_rate_matches_povm_average():
     ens = signal_ensemble(wcp(0.3))
     povm = usd_povm_equal(ens)
     expected = float(np.dot(ens.priors, povm.conclusive_probabilities))
-    assert eve_conclusive_rate(wcp(0.3)) == pytest.approx(expected, rel=1e-12)
+    assert eve_conclusive_rate(wcp(0.3)) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_eve_rate_relative_to_single_photon_counts():
@@ -319,7 +319,7 @@ def test_critical_transmission_relative_tolerance(alpha_sq):
     t_star = critical_transmission(source)
     rate = eve_conclusive_rate(source)
     assert honest_yield(source, ChannelModel(t_star)) == pytest.approx(
-        rate, rel=1e-9
+        rate, rel=1e-9, abs=0
     )
     below = honest_yield(source, ChannelModel(t_star * (1 - 1e-9))) - rate
     above = honest_yield(source, ChannelModel(t_star * (1 + 1e-9))) - rate

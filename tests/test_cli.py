@@ -376,7 +376,9 @@ def test_states_takes_one_gram_check_and_one_rank_svd(capsys, monkeypatch):
 
 def test_attacked_pair_source_simulate_measures_once(tmp_path, monkeypatch):
     counts = count_calls(monkeypatch, sources_mod, "alice_measure")
-    fock_counts = count_calls(monkeypatch, fock_mod, "project_counts", "inner_product")
+    fock_counts = count_calls(
+        monkeypatch, fock_mod, "project_counts", "inner_product", "rotate_modes"
+    )
     rc = simulate_to(
         tmp_path / "r.json",
         ["--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8", "--pulses", "2000",
@@ -385,8 +387,11 @@ def test_attacked_pair_source_simulate_measures_once(tmp_path, monkeypatch):
     assert rc == 0
     assert json.loads((tmp_path / "r.json").read_text())["report"]["attack_unavailable"]
     assert counts == {"alice_measure": 2}
-    # heralding groups amplitudes in one pass and the Gram is one product
-    assert fock_counts == {"project_counts": 0, "inner_product": 0}
+    # heralding groups amplitudes in one pass and the Gram is one product;
+    # the only rotations are the two heralding ones (one per basis): the
+    # detection tables take the cached rotation matrix, not a rotation per
+    # ambient pattern
+    assert fock_counts == {"project_counts": 0, "inner_product": 0, "rotate_modes": 2}
 
 
 def simulate_to(path, extra):

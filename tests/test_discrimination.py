@@ -379,9 +379,9 @@ REFERENCE_Q = {
 @pytest.mark.parametrize("alpha", sorted(REFERENCE_Q))
 def test_equal_q_matches_60_digit_reference(alpha):
     ref = _reference_q(alpha)
-    assert ref == pytest.approx(REFERENCE_Q[alpha], rel=1e-12)
+    assert ref == pytest.approx(REFERENCE_Q[alpha], rel=1e-12, abs=0)
     params = SourceParams(kind="wcp", amplitude=alpha)
-    assert eve_conclusive_rate(params) == pytest.approx(ref, rel=1e-10)
+    assert eve_conclusive_rate(params) == pytest.approx(ref, rel=1e-10, abs=0)
     povm = usd_povm_equal(wcp_ensemble(alpha))
     q = povm.conclusive_probabilities[0]
     assert np.allclose(povm.conclusive_probabilities, q, rtol=1e-12, atol=0)

@@ -1,11 +1,15 @@
 """Core state-algebra tests.
 
-The rotation tests check the sparse binomial re-expansion against an
-independent dense-matrix oracle (matrix exponential of the two-mode
-rotation generator), so the two routes share no code.
+The rotation tests check the cached rotation matrix (a binomial
+re-expansion) against an independent dense-matrix oracle (matrix
+exponential of the two-mode rotation generator, on two modes and on the
+sender's two of four), so the two routes share no code.
 """
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -14,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import fockqkd.fock as fock_mod
 from fockqkd.fock import (
+    N_MAX,
     DimensionMismatch,
     FockError,
     FockVector,
@@ -25,10 +31,13 @@ from fockqkd.fock import (
     binomial_thinning,
     inner_product,
     normalize,
+    normalize_rows,
+    pattern_index,
     project_counts,
     rotate_modes,
+    thinning_matrix,
 )
-from fockqkd.sources import SourceParams, pdc_modified_singlet
+from fockqkd.sources import MEASUREMENT_ANGLE, SourceParams, pdc_modified_singlet
 
 SQ2 = math.sqrt(2.0)
 
@@ -144,28 +153,29 @@ def test_normalize_zero_vector_raises():
 # -------------------------------------------------------------------- rotation
 
 
-def dense_two_mode_space(n_max):
-    """All two-mode patterns with total photons <= n_max, lex order."""
-    return [(a, b) for a in range(n_max + 1) for b in range(n_max + 1 - a)]
+def dense_space(n_max, modes=2):
+    """All patterns of ``modes`` modes with total photons <= n_max, lex order."""
+    return [p for p in product(range(n_max + 1), repeat=modes) if sum(p) <= n_max]
 
 
-def dense_rotation_matrix(n_max, theta):
-    """Oracle: U = expm(theta (a+_j a_i - a+_i a_j)) on the truncated space.
+def dense_rotation_matrix(n_max, theta, modes=2):
+    """Oracle: U = expm(theta (a+_j a_i - a+_i a_j)) on the truncated space,
+    for i, j = 0, 1 (the other modes pass through).
 
     This generator reproduces a+_i -> cos a+_i + sin a+_j and
     a+_j -> -sin a+_i + cos a+_j on states built from the vacuum.
     """
-    basis = dense_two_mode_space(n_max)
+    basis = dense_space(n_max, modes)
     index = {p: k for k, p in enumerate(basis)}
     dim = len(basis)
     g = np.zeros((dim, dim))
-    for (a, b), k in index.items():
+    for (a, b, *rest), k in index.items():
         # a+_j a_i term: (a, b) -> (a-1, b+1) with sqrt(a (b+1))
-        if a >= 1 and a - 1 + b + 1 <= n_max:
-            g[index[(a - 1, b + 1)], k] += math.sqrt(a * (b + 1))
+        if a >= 1:
+            g[index[(a - 1, b + 1, *rest)], k] += math.sqrt(a * (b + 1))
         # -a+_i a_j term: (a, b) -> (a+1, b-1) with -sqrt(b (a+1))
-        if b >= 1 and a + 1 + b - 1 <= n_max:
-            g[index[(a + 1, b - 1)], k] -= math.sqrt(b * (a + 1))
+        if b >= 1:
+            g[index[(a + 1, b - 1, *rest)], k] -= math.sqrt(b * (a + 1))
     return expm(theta * g), basis, index
 
 
@@ -197,12 +207,18 @@ def test_rotate_zero_angle_identity():
 
 
 def test_rotate_matches_dense_oracle():
+    # two modes at three angles, and the sender's heralding rotation: modes
+    # (0, 1) of four (210 patterns) at both measurement angles
     rng = np.random.default_rng(5)
     n_max = 6
-    for theta in (0.3, -math.pi / 4, 1.9):
-        u_mat, basis, index = dense_rotation_matrix(n_max, theta)
-        for _ in range(8):
-            v = random_state(rng, n_max=n_max)
+    singlet = pdc_modified_singlet(SourceParams(kind="pdc", amplitude=0.1))
+    cases = [(2, theta) for theta in (0.3, -math.pi / 4, 1.9)]
+    cases += [(4, theta) for theta in MEASUREMENT_ANGLE.values()]
+    for modes, theta in cases:
+        u_mat, basis, index = dense_rotation_matrix(n_max, theta, modes)
+        assert len(basis) == {2: 28, 4: 210}[modes]
+        states = [random_state(rng, mode_count=modes, n_max=n_max) for _ in range(8)]
+        for v in states + ([singlet] if modes == 4 else []):
             expected = u_mat @ to_dense(v, basis, index)
             got = to_dense(rotate_modes(v, 0, 1, theta), basis, index)
             assert np.allclose(got, expected, atol=1e-12)
@@ -484,6 +500,76 @@ def test_dump_lines_sorted_and_tab_separated():
     fields = lines[0].split("\t")
     assert len(fields) == 3
     assert float(fields[1]) == pytest.approx(-0.25)
+
+
+def test_negative_zero_parts_print_as_zero():
+    # a negative lead turned positive leaves -0 imaginary parts behind
+    unit, _ = normalize(FockVector(2, {(0, 1): -0.05, (1, 2): 0.0035}))
+    assert [line.split("\t")[2] for line in unit.dump_lines()] == ["0", "0"]
+
+
+# ------------------------------------------------------- the dense index
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
+def test_pattern_index_is_every_bounded_pattern_in_lex_order(modes):
+    pats, position, counts = pattern_index(modes)
+    assert list(pats) == dense_space(N_MAX, modes)
+    assert len(pats) == math.comb(N_MAX + modes, modes)  # 28 for 2, 210 for 4
+    assert all(position[p] == k for k, p in enumerate(pats))
+    assert counts.tolist() == [list(p) for p in pats]
+    assert not counts.flags.writeable
+
+
+def test_vector_is_one_read_only_array_over_the_index():
+    v = FockVector(4, {(1, 0, 0, 1): -0.5j, (0, 1, 1, 0): 0.5})
+    pats = pattern_index(4)[0]
+    assert v.array.shape == (210,) and not v.array.flags.writeable
+    assert v.amps == {p: complex(a) for p, a in zip(pats, v.array) if a != 0}
+    assert list(v.amps) == [(0, 1, 1, 0), (1, 0, 0, 1)]  # lexicographic
+    assert v.amplitude((1, 0, 0, 1)) == -0.5j
+    assert v.amplitude((3, 3, 3, 3)) == 0
+
+
+@pytest.mark.parametrize("keep", [0.0, 1e-3, 0.37, 1.0])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_thinning_matrix_rows_are_the_binomial_thinning(modes, keep):
+    pats = pattern_index(modes)[0]
+    matrix = thinning_matrix(modes, keep)
+    assert not matrix.flags.writeable
+    for k, counts in enumerate(pats):
+        row = {pats[j]: matrix[k, j] for j in np.flatnonzero(matrix[k])}
+        assert row == dict(binomial_thinning(counts, keep))
+
+
+def test_normalize_rows_is_normalize_row_by_row():
+    rng = np.random.default_rng(43)
+    states = [random_state(rng, mode_count=3, n_terms=6) for _ in range(12)]
+    assert normalize_rows(3, [s.array for s in states]) == [normalize(s) for s in states]
+    with pytest.raises(NearZeroVector):
+        normalize_rows(2, [FockVector.basis((1, 0)).array, np.zeros(28)])
+
+
+_KERNELS = ("pattern_index", "rotation_matrix", "thinning_matrix", "_count_groups")
+
+
+def test_kernels_are_built_on_first_use_in_bounded_caches():
+    # importing the package builds no kernel; every kernel cache is bounded
+    code = (
+        "import fockqkd.fock as f; "
+        f"print([getattr(f, k).cache_info().currsize for k in {_KERNELS!r}])"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock_mod.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 0]\n")
+    for name in _KERNELS:
+        assert getattr(fock_mod, name).cache_info().maxsize <= 16
 
 
 # ------------------------------------------------- binomial thinning

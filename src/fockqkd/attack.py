@@ -415,7 +415,8 @@ def _detection_tables(states, survival: float):
     isotropically): the probabilities are |A·Rᵀ|² times the cached
     thinning matrix.
     """
-    r = np.concatenate([rotation_matrix(MEASUREMENT_ANGLE[b]) for b in BASES])
+    angles = [MEASUREMENT_ANGLE[b] for b in BASES]
+    r = np.concatenate([rotation_matrix(math.cos(t), math.sin(t)) for t in angles])
     _, _, detected = pattern_index(2)
     a = np.array([s.array for s in states])
     amps = (a @ r.T).reshape(-1, len(detected))  # row 2·i + b

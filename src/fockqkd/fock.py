@@ -8,10 +8,10 @@ complex amplitude array over that index.  Each physical step is one
 kernel, built on first use and kept in a bounded cache: the count groups
 that arrange a vector's amplitudes by their counts on some modes (for a
 projection, and for a rotation, which is then the real two-mode rotation
-matrix of its angle times that arrangement), and a thinning matrix per
-survival probability.  Loss is a rotation into an empty environment mode
-followed by a count there.  Everything here is a pure function over
-immutable values.
+matrix of its cosine and sine times that arrangement), and a thinning
+matrix per survival probability.  Loss is a rotation into an empty
+environment mode followed by a count there.  Everything here is a pure
+function over immutable values.
 
 Mode-ordering conventions used by the rest of the package:
 
@@ -268,12 +268,12 @@ def normalize_rows(mode_count: int, rows) -> list[tuple[FockVector, float]]:
 
 
 @lru_cache(maxsize=_CACHED)
-def rotation_matrix(theta: float) -> np.ndarray:
-    """The real matrix of :func:`rotate_modes` on the two-mode index
-    (read-only): column k is pattern k rotated, entries below ``EPS_AMP``
-    dropped."""
+def rotation_matrix(c: float, s: float) -> np.ndarray:
+    """The real matrix on the two-mode index (read-only) of the rotation
+    a+_0 -> c a+_0 + s a+_1, a+_1 -> -s a+_0 + c a+_1, for c² + s² = 1
+    (see :func:`rotate_modes`): column k is pattern k rotated, entries
+    below ``EPS_AMP`` dropped."""
     pats, position, _ = pattern_index(2)
-    c, s = math.cos(theta), math.sin(theta)
     r = np.zeros((len(pats), len(pats)))
     for k, (ni, nj) in enumerate(pats):
         # |ni, nj> = (a+_i)^ni (a+_j)^nj / sqrt(ni! nj!) |0>
@@ -331,9 +331,15 @@ def rotate_modes(v: FockVector, i: int, j: int, theta: float) -> FockVector:
     for m in (i, j):
         if not 0 <= m < v.mode_count:
             raise DimensionMismatch(f"mode {m} out of range")
+    return _turn(v, i, j, math.cos(theta), math.sin(theta))
+
+
+def _turn(v: FockVector, i: int, j: int, c: float, s: float) -> FockVector:
+    """``v`` with modes (i, j) turned by the :func:`rotation_matrix` of
+    (c, s), applied to its amplitudes grouped by their counts on (i, j)."""
     rows, group, reduced = _grouped(v, (i, j))
     # a real matrix times the (re, im) columns of the amplitudes
-    turned = (rotation_matrix(float(theta)) @ rows.view(float)).view(complex)
+    turned = (rotation_matrix(c, s) @ rows.view(float)).view(complex)
     return FockVector._of(v.mode_count, _clean(turned[group, reduced]))
 
 
@@ -425,7 +431,7 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     """Pure-state loss ensemble for one mode, indexed by photons lost.
 
     Loss is a beam splitter: an empty environment mode is appended and
-    rotated with ``mode`` by the angle whose squared cosine is ``t``, and
+    turned with ``mode`` by cosine sqrt(t) and sine sqrt(1-t), and
     branch k is the outcome of counting k photons there (see
     :func:`all_count_outcomes`).  A pattern holding n photons in ``mode``
     keeps n-k of them, its amplitude scaled by the square root of the
@@ -440,5 +446,5 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
         raise DimensionMismatch(f"mode {mode} out of range")
     env = v.mode_count
     wide = FockVector(env + 1, {p + (0,): a for p, a in v.items()})
-    split = rotate_modes(wide, mode, env, math.atan2(math.sqrt(1 - t), math.sqrt(t)))
+    split = _turn(wide, mode, env, math.sqrt(t), math.sqrt(1 - t))
     return [b for _, b in all_count_outcomes(split, (env,)) if b.state is not None]

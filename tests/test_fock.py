@@ -471,7 +471,8 @@ def test_loss_at_every_mode_matches_the_closed_form(mode_count):
     for _ in range(15):
         v = random_state(rng, mode_count=mode_count, n_terms=8)
         for mode in range(mode_count):
-            for t in (0.0, 0.37, float(rng.uniform(0, 1)), 1.0):
+            # 1e-9: a rotation angle near pi/2 would lose c = sqrt(t)'s accuracy
+            for t in (0.0, 0.37, float(rng.uniform(0, 1)), 1.0, 1e-9):
                 got = apply_loss(v, mode, t)
                 want = _loss_by_closed_form(v, mode, t)
                 assert len(got) == len(want)

@@ -39,6 +39,7 @@ from fockqkd.fock import EPS_AMP, N_MAX, pattern_index, rotation_matrix, thinnin
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
+    SENDER_BIT_FOR_DETECTED,
     ModifiedQubit,
     ParameterError,
     SourceParams,
@@ -170,9 +171,10 @@ class SourceModel:
     :func:`analyze`).  ``source`` is None for an explicit catalog.
     Ensemble state i has label 2·basis + bit ``labels[i]`` and is emitted
     with ``emission_probability[i]`` (its heralding branch weight, else 1).
-    ``heralding`` holds, per sender basis, every heralding branch weight and
-    its ensemble index (-1: not accepted); it is empty when every pulse is
-    sent as prepared.  ``photon_distribution`` is that of the
+    ``heralding`` holds, per sender basis, the weight of every nonzero
+    (true, detected) entry of the sender's measurement table in row-major
+    order and its ensemble index (-1: not accepted); it is empty when every
+    pulse is sent as prepared.  ``photon_distribution`` is that of the
     receiver-bound state (for the pair source, given acceptance),
     ``emitted`` that of the whole emitted state.  The arrays are read-only.
     """
@@ -208,11 +210,14 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
     x0, x1) such as :func:`~fockqkd.sources.ideal_signal_states`: the four
     states with equal priors, every pulse sent as prepared.  The four
     share one photon-number distribution (polarization does not change
-    photon number), read from the first.  Pair source: one sender
-    measurement per basis; every accepted branch enters the ensemble with
-    its probability as prior (with perfect sender detectors these are the
-    four heralded states; inefficiency adds misread branches, which only
-    worsens discriminability).
+    photon number), read from the first.  Pair source: the nonzero entries
+    of each basis's :func:`~fockqkd.sources.alice_measure` table, in
+    row-major order, are its heralding branches; the one acceptance rule,
+    ``SENDER_BIT_FOR_DETECTED`` as an array lookup on the detected pattern,
+    puts every accepted branch in the ensemble with its probability as
+    prior (with perfect sender detectors these are the four heralded
+    states; inefficiency adds misread branches, which only worsens
+    discriminability).
     """
     if isinstance(source, SourceModel):
         return source
@@ -223,29 +228,28 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
             raise ParameterError("signal catalog must hold the four states")
         states = [mq.state for mq in catalog]
         dist = _total_photon_distribution(states[:1])[0]
-        emit = np.array([mq.emission_probability for mq in catalog])
         ensemble = StateEnsemble(states)
-        return SourceModel(params, ensemble, np.arange(4), emit, (), dist, dist)
+        return SourceModel(params, ensemble, np.arange(4), np.ones(4), (), dist, dist)
     singlet = pdc_modified_singlet(source)
-    states, weights, labels, heralding = [], [], [], []
+    detected = pattern_index(2)[0]
+    bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in detected])
+    states, labels, heralding = [], [], []
     for a, basis in enumerate(BASES):
-        outcomes = alice_measure(singlet, basis, source)
-        index = []
-        for o in outcomes:
-            index.append(len(states) if o.accepted else -1)
-            if o.accepted:
-                states.append(o.bob_state.state)
-                weights.append(o.bob_state.weight)
-                labels.append(2 * a + o.bit)
-        branch_w = np.array([o.bob_state.weight for o in outcomes])
-        heralding.append((branch_w, np.array(index)))
-    total_w = sum(weights)
+        _, units, joint = alice_measure(singlet, basis, source)
+        true, k = np.nonzero(joint)
+        bit = bit_of[k]
+        accepted = bit >= 0
+        index = np.where(accepted, len(states) + np.cumsum(accepted) - 1, -1)
+        heralding.append((joint[true, k], index))
+        states += [units[i] for i in true[accepted]]
+        labels.append(2 * a + bit[accepted])
+    w = np.concatenate([branch_w[index >= 0] for branch_w, index in heralding])
+    total_w = sum(w.tolist())
     if total_w == 0.0:
         raise ParameterError("pair source has no accepted branches")
-    w = np.asarray(weights)
     dist = (w[:, None] * _total_photon_distribution(states)).sum(axis=0)
     ensemble = StateEnsemble(states, w / w.sum())
-    return SourceModel(source, ensemble, np.array(labels), w, tuple(heralding),
+    return SourceModel(source, ensemble, np.concatenate(labels), w, tuple(heralding),
                        dist / total_w, _total_photon_distribution([singlet])[0])
 
 

@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -111,6 +112,7 @@ def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
         p.add_argument(flag, type=int if rule is int else None, help=doc)
 
 
+@lru_cache(maxsize=1)  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockqkd",

@@ -343,6 +343,27 @@ def _turn(v: FockVector, i: int, j: int, c: float, s: float) -> FockVector:
     return FockVector._of(v.mode_count, _clean(turned[group, reduced]))
 
 
+def count_branches(v: FockVector, modes: Iterable[int]):
+    """Count the photons in ``modes`` of ``v``: the ascending positions in
+    the index of ``len(modes)`` modes of the count patterns that occur (one
+    scatter by the cached count groups, rows of norm above ``EPS_NORM``),
+    the unit state of the other modes after each (see :func:`normalize`),
+    and each one's probability relative to the squared norm of ``v``."""
+    modes = tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise DimensionMismatch("projection modes must be distinct")
+    for m in modes:
+        if not 0 <= m < v.mode_count:
+            raise DimensionMismatch(f"mode {m} out of range")
+    total = v.norm_sq()
+    if total <= EPS_NORM**2:
+        raise NearZeroVector("projection of a numerically zero vector")
+    rows = _grouped(v, modes)[0]
+    live = np.flatnonzero(np.sqrt(_norms_sq(rows)) > EPS_NORM)
+    units = normalize_rows(v.mode_count - len(modes), rows[live])
+    return live, [u for u, _ in units], np.array([q for _, q in units]) / total
+
+
 def project_counts(
     v: FockVector, modes: Iterable[int], counts: Iterable[int]
 ) -> WeightedState:
@@ -368,31 +389,20 @@ def all_count_outcomes(
 ) -> list[tuple[Pattern, WeightedState]]:
     """(counts, :func:`project_counts` outcome) for every count pattern
     of ``modes`` up to the per-mode maxima present in ``v``, in
-    lexicographic order; zero-probability outcomes are included, so the
-    probabilities of a unit-norm input sum to 1.  One scatter by the
-    cached count groups puts each outcome's amplitudes in a row.
+    lexicographic order, read from :func:`count_branches`; zero-probability
+    outcomes are included, so the probabilities of a unit-norm input sum
+    to 1.
     """
     modes = tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise DimensionMismatch("projection modes must be distinct")
-    for m in modes:
-        if not 0 <= m < v.mode_count:
-            raise DimensionMismatch(f"mode {m} out of range")
-    total = v.norm_sq()
-    if total <= EPS_NORM**2:
-        raise NearZeroVector("projection of a numerically zero vector")
-    rows, group, _ = _grouped(v, modes)
+    index, units, probs = count_branches(v, modes)
+    found = dict(zip(index.tolist(), zip(units, probs.tolist())))
     _, position, counts = pattern_index(len(modes))
-    rest = v.mode_count - len(modes)
-    kept_sq = _norms_sq(rows)
-    live = np.flatnonzero(np.sqrt(kept_sq) > EPS_NORM)
-    units = dict(zip(live.tolist(), normalize_rows(rest, rows[live])))
-    outcomes = []
+    group = _count_groups(v.mode_count, modes)[0]
     maxima = counts[group[v.array != 0]].max(axis=0)
-    for c in product(*(range(n + 1) for n in maxima)):
-        unit, kept = units.get(position.get(c, -1), (None, 0.0))
-        outcomes.append((c, WeightedState(unit, kept / total)))
-    return outcomes
+    return [
+        (c, WeightedState(*found.get(position.get(c, -1), (None, 0.0))))
+        for c in product(*(range(n + 1) for n in maxima))
+    ]
 
 
 def binomial_thinning(counts: Pattern, keep: float) -> list[tuple[Pattern, float]]:
@@ -433,7 +443,7 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     Loss is a beam splitter: an empty environment mode is appended and
     turned with ``mode`` by cosine sqrt(t) and sine sqrt(1-t), and
     branch k is the outcome of counting k photons there (see
-    :func:`all_count_outcomes`).  A pattern holding n photons in ``mode``
+    :func:`count_branches`).  A pattern holding n photons in ``mode``
     keeps n-k of them, its amplitude scaled by the square root of the
     :func:`binomial_thinning` probability of keeping n-k with survival
     ``t``.  Branches come in increasing k; their probabilities are relative
@@ -447,4 +457,5 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     env = v.mode_count
     wide = FockVector(env + 1, {p + (0,): a for p, a in v.items()})
     split = _turn(wide, mode, env, math.sqrt(t), math.sqrt(1 - t))
-    return [b for _, b in all_count_outcomes(split, (env,)) if b.state is not None]
+    _, units, probs = count_branches(split, (env,))
+    return [WeightedState(u, p) for u, p in zip(units, probs.tolist())]

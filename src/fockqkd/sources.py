@@ -29,7 +29,7 @@ from fockqkd.fock import (
     N_MAX,
     Pattern,
     WeightedState,
-    all_count_outcomes,
+    count_branches,
     normalize_rows,
     pattern_index,
     rotate_modes,
@@ -96,36 +96,11 @@ class SourceParams:
 
 @dataclass(frozen=True)
 class ModifiedQubit:
-    """A labeled receiver-bound signal state.
-
-    ``emission_probability`` is the per-pulse probability that the source
-    actually launches this state (1 for a coherent pulse; the heralding
-    probability for a pair source).
-    """
+    """A labeled receiver-bound signal state, sent on every pulse."""
 
     basis: str
     bit: int
     state: FockVector
-    emission_probability: float
-
-
-@dataclass(frozen=True)
-class AliceOutcome:
-    """One branch of the sender-side measurement.
-
-    ``detected`` are the photon counts registered by the sender's two
-    detectors (in the rotated frame); ``true_counts`` the photons that
-    actually arrived there.  The two differ only when detector
-    efficiency is below 1.  ``bob_state.weight`` is the joint probability
-    of this branch; the branch is ``accepted`` when exactly one detector
-    saw exactly one photon.
-    """
-
-    detected: Pattern
-    true_counts: Pattern
-    accepted: bool
-    bit: int | None
-    bob_state: WeightedState
 
 
 def _check_basis_bit(basis: str, bit: int) -> None:
@@ -190,7 +165,7 @@ def _wcp_states(params, labels, exact_coherent=False) -> list[ModifiedQubit]:
             for pattern, a in _n_photon_polarized(n, *_POLARIZATION[label]).items():
                 row[position[pattern]] = c * a
     units = normalize_rows(2, rows)
-    return [ModifiedQubit(b, bit, u, 1.0) for (b, bit), (u, _) in zip(labels, units)]
+    return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(labels, units)]
 
 
 def pdc_modified_singlet(params: SourceParams) -> FockVector:
@@ -232,46 +207,28 @@ def pdc_modified_singlet(params: SourceParams) -> FockVector:
     return FockVector.from_terms(4, terms)
 
 
-def alice_measure(
-    singlet: FockVector, basis: str, params: SourceParams
-) -> list[AliceOutcome]:
-    """Measure the sender's two modes of a two-arm state.
+def alice_measure(singlet: FockVector, basis: str, params: SourceParams):
+    """The sender's measurement of the two-arm state as a table ``(true,
+    states, joint)``.
 
-    One product with the cached rotation matrix turns the sender's modes
-    (angle 0 for the rectilinear basis, -pi/4 for the diagonal one), one
-    scatter by the cached count groups gives every photon-count outcome,
-    and the row of the cached thinning matrix for the sender's detector
-    efficiency splits each true count pattern over the patterns detected
-    (no dark counts; no split at efficiency 1).  A branch is accepted when
-    the detected counts are (1, 0) or (0, 1); the heralded bit is 0 for
-    the rotated-H detector and 1 for rotated-V.  Branch probabilities sum
-    to 1.
+    The sender's modes are turned by the cached rotation matrix (angle 0
+    for the rectilinear basis, -pi/4 for the diagonal one) and counted by
+    :func:`~fockqkd.fock.count_branches`: ``true[i]`` is the position of a
+    true count pattern in the two-mode index, ``states[i]`` the receiver's
+    unit state after it, and ``joint[i, k]`` its weight times the cached
+    thinning matrix entry (true[i], k) of the detector efficiency, the
+    probability that the detectors then register pattern k (no dark
+    counts).  ``joint`` sums to 1; :func:`fockqkd.attack.analyze` decides
+    which detected patterns herald a bit.
     """
     if singlet.mode_count != 4:
         raise ParameterError("sender measurement expects a 4-mode state")
     if basis not in BASES:
         raise ParameterError(f"basis must be one of {BASES}")
     rotated = rotate_modes(singlet, 0, 1, MEASUREMENT_ANGLE[basis])
+    true, states, weights = count_branches(rotated, (0, 1))
     thinning = thinning_matrix(2, params.alice_detector_efficiency)
-    sender = pattern_index(2)[0]
-    outcomes: list[AliceOutcome] = []
-    for true_counts, branch in all_count_outcomes(rotated, (0, 1)):
-        if branch.state is None:
-            continue
-        split = thinning[sender.index(true_counts)]
-        for k in np.flatnonzero(split):
-            bit = SENDER_BIT_FOR_DETECTED.get(sender[k])
-            weight = branch.weight * float(split[k])
-            outcomes.append(
-                AliceOutcome(
-                    detected=sender[k],
-                    true_counts=true_counts,
-                    accepted=bit is not None,
-                    bit=bit,
-                    bob_state=WeightedState(branch.state, weight),
-                )
-            )
-    return outcomes
+    return true, states, weights[:, None] * thinning[true]
 
 
 def signal_states(params: SourceParams) -> list[ModifiedQubit]:
@@ -286,7 +243,7 @@ def signal_states(params: SourceParams) -> list[ModifiedQubit]:
 def ideal_signal_states() -> list[ModifiedQubit]:
     """The four ideal single-photon signal states (diagnostic catalog)."""
     return [
-        ModifiedQubit(basis, bit, ideal_bb84_state(basis, bit), 1.0)
+        ModifiedQubit(basis, bit, ideal_bb84_state(basis, bit))
         for basis in BASES
         for bit in (0, 1)
     ]
@@ -295,17 +252,18 @@ def ideal_signal_states() -> list[ModifiedQubit]:
 def pdc_accepted_branches(
     params: SourceParams, basis: str
 ) -> list[tuple[int, WeightedState]]:
-    """All accepted sender-measurement branches for one basis.
+    """(bit, weighted state) of each accepted entry of one basis's
+    :func:`alice_measure` table, in row-major order.
 
     With perfect sender detectors this is exactly the two heralded
     states; with efficiency below 1 extra branches appear (a multiphoton
     arrival read as a single click), which is what breaks the two-
-    dimensional structure of the heralded catalog.  Returned as
-    (bit, weighted state) pairs.
+    dimensional structure of the heralded catalog.
     """
-    singlet = pdc_modified_singlet(params)
+    _, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
+    detected = pattern_index(2)[0]
     return [
-        (o.bit, o.bob_state)
-        for o in alice_measure(singlet, basis, params)
-        if o.accepted
+        (SENDER_BIT_FOR_DETECTED[detected[k]], WeightedState(states[i], float(joint[i, k])))
+        for i, k in zip(*np.nonzero(joint))
+        if detected[k] in SENDER_BIT_FOR_DETECTED
     ]

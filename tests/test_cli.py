@@ -646,6 +646,40 @@ def test_every_subcommand_runs_without_scipy():
     assert (proc.returncode, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0]")
 
 
+_PARSER_REUSE_RUNS = [
+    ["threshold", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8"],
+    ["threshold", "--help"],
+]
+
+
+def test_cached_parser_gives_fresh_process_bytes(capsys, monkeypatch):
+    # the parser is built once per process; a failed parse must leave it
+    # as a new one would be, and help is laid out when it is printed
+    monkeypatch.setenv("COLUMNS", "100")
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["threshold", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in _PARSER_REUSE_RUNS:
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fockqkd.cli"] + argv,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, COLUMNS="100"),
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fockqkd.cli", "usd", "--toy"],

@@ -29,6 +29,7 @@ from fockqkd.fock import (
     all_count_outcomes,
     apply_loss,
     binomial_thinning,
+    count_branches,
     inner_product,
     normalize,
     normalize_rows,
@@ -344,6 +345,27 @@ def test_grouped_outcomes_equal_the_per_count_scan_bitwise(modes):
         # a count beyond the support is a zero-probability outcome
         beyond = project_counts(v, modes, [n + 1 for n in maxima])
         assert (beyond.state, beyond.weight) == (None, 0.0)
+
+
+@pytest.mark.parametrize("mode_count", [2, 3, 4])
+def test_count_branches_agree_with_all_count_outcomes(mode_count):
+    rng = np.random.default_rng(23 + mode_count)
+    for _ in range(10):
+        v = random_state(rng, mode_count=mode_count, n_terms=7)
+        width = int(rng.integers(1, mode_count))
+        modes = tuple(int(m) for m in rng.permutation(mode_count)[:width])
+        index, units, probs = count_branches(v, modes)
+        assert len(index) == len(units) == len(probs)
+        position = pattern_index(len(modes))[1]
+        occurring = [
+            (position[c], got.state, got.weight)
+            for c, got in all_count_outcomes(v, modes)
+            if got.state is not None
+        ]
+        assert index.tolist() == [k for k, _, _ in occurring]
+        assert units == [u for _, u, _ in occurring]
+        assert probs.tolist() == [w for _, _, w in occurring]
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_errors():

@@ -14,8 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from fockqkd.fock import FockVector, inner_product, normalize, rotate_modes
+from fockqkd.attack import analyze
+from fockqkd.fock import FockVector, inner_product, normalize, pattern_index, rotate_modes
 from fockqkd.sources import (
+    BASES,
     ModifiedQubit,
     ParameterError,
     SourceParams,
@@ -116,7 +118,6 @@ def test_wcp_matches_reference_expansion(basis, bit):
         ref = FockVector.from_terms(2, expected_wcp_terms(alpha, basis, bit))
         ref_unit, _ = normalize(ref)
         mq = wcp_state(wcp_params(alpha), basis, bit)
-        assert mq.emission_probability == 1.0
         diff = mq.state - ref_unit
         assert diff.norm() < 1e-14
 
@@ -295,40 +296,54 @@ def test_signal_states_is_the_weak_pulse_catalog():
 # ------------------------------------------------------- alice_measure
 
 
+def _sender_table(params, basis):
+    """alice_measure's table, each nonzero entry's (true, detected) count
+    patterns in row-major order, and analyze's heralding of that basis."""
+    true, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
+    pats = pattern_index(2)[0]
+    i, k = np.nonzero(joint)
+    entries = [(pats[true[r]], pats[c]) for r, c in zip(i, k)]
+    weights, index = analyze(params).heralding[BASES.index(basis)]
+    assert weights.tolist() == joint[i, k].tolist()
+    return states, joint, entries, index
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.5])
 @pytest.mark.parametrize("basis", ["+", "x"])
 def test_alice_measure_probabilities_sum_to_one(eta, basis):
     params = pdc_params(0.1, eta=eta)
-    outcomes = alice_measure(pdc_modified_singlet(params), basis, params)
-    total = sum(o.bob_state.weight for o in outcomes)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    for o in outcomes:
+    states, joint, entries, index = _sender_table(params, basis)
+    assert joint.shape == (len(states), len(pattern_index(2)[0]))
+    assert joint.sum() == pytest.approx(1.0, abs=1e-10)
+    model = analyze(params)
+    for (true_counts, detected), n in zip(entries, index):
         if eta == 1.0:
-            assert o.detected == o.true_counts
-        assert o.accepted == (o.detected in ((1, 0), (0, 1)))
-        if o.accepted:
-            assert o.bit in (0, 1)
-        else:
-            assert o.bit is None
+            assert detected == true_counts
+        assert (n >= 0) == (detected in ((1, 0), (0, 1)))
+        if n >= 0:
+            assert model.labels[n] == 2 * BASES.index(basis) + (detected == (1, 0))
 
 
 def test_alice_measure_inefficiency_creates_misread_branches():
     params = pdc_params(0.1, eta=0.5)
-    outcomes = alice_measure(pdc_modified_singlet(params), "+", params)
+    _, _, entries, index = _sender_table(params, "+")
     misread = [
-        o for o in outcomes if o.accepted and o.true_counts != o.detected
+        true_counts for (true_counts, detected), n in zip(entries, index)
+        if n >= 0 and true_counts != detected
     ]
     assert misread  # e.g. two photons at the sender, one seen
-    assert any(o.true_counts == (1, 1) for o in misread)
+    assert (1, 1) in misread
     # vacuum can be *detected* but never accepted
-    assert all(not o.accepted for o in outcomes if o.detected == (0, 0))
+    vacuum = [n for (_, detected), n in zip(entries, index) if detected == (0, 0)]
+    assert vacuum and all(n == -1 for n in vacuum)
 
 
 def test_alice_measure_first_order_acceptance_probability():
     chi = 0.01
     params = pdc_params(chi, order=1)
-    outcomes = alice_measure(pdc_modified_singlet(params), "+", params)
-    accepted = sum(o.bob_state.weight for o in outcomes if o.accepted)
+    _, joint, entries, index = _sender_table(params, "+")
+    weights = joint[np.nonzero(joint)]
+    accepted = sum(w for w, n in zip(weights, index) if n >= 0)
     assert accepted == pytest.approx((chi**2 / 2) / (1 + chi**4 / 4), rel=1e-12)
     assert accepted == pytest.approx(chi**2 / 2, rel=1e-7)
 

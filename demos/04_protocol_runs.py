@@ -1,8 +1,9 @@
 """Monte Carlo protocol runs, honest and attacked.
 
-Runs the full pulse-by-pulse pipeline — state preparation, optional
+Runs the full protocol pipeline — state preparation, optional
 interception, lossy transmission, measurement in a random basis,
-sifting — and compares against the analytic yield.  The attacked run
+sifting — by sampling each run's counts in three multinomial stages, and
+compares against the analytic yield.  The attacked run
 sits just below the critical transmission, where the eavesdropper
 matches the honest detection statistics while knowing every sifted bit.
 """

@@ -15,10 +15,13 @@ Every source enters through :func:`analyze`, which builds one
 weak pulse, the pair source, and an explicit four-state catalog such as
 the ideal single-photon one the realistic sources are judged against.
 
-Randomness: a counter-based generator (Philox) keyed by the
-configuration seed, consuming a fixed block of 64-bit words per pulse, so
-any pulse's sub-stream is a pure function of (seed, pulse index) and
-results are bitwise reproducible regardless of chunking.
+Randomness: a run samples its report's counts, not its pulses.  Pulses
+are independent, so the counts per detection table and detected pattern
+are multinomial; they are drawn in three fixed stages (see
+:func:`run_protocol_monte_carlo`) from one counter-based generator
+(Philox) keyed by the configuration seed.  Reports are bitwise
+reproducible for a fixed numpy version, and honest and attacked runs of
+one seed share the first stage.
 """
 
 from __future__ import annotations
@@ -52,14 +55,8 @@ from fockqkd.sources import (
 ATTACK_NONE = "none"
 ATTACK_CONCLUSIVE = "intercept_resend_conclusive"
 
-# Fixed per-pulse random layout (64-bit words from one Philox stream):
-# 0: sender basis, 1: sender bit or heralding outcome, 2: eavesdropper's
-# conclusive draw, 3: receiver basis, 4: detected pattern.  Every pulse
-# consumes all five whether or not a column is read, which pins pulse p to
-# stream positions [5p, 5p+5): honest and attacked runs with one seed
-# share every column.  A chunk of pulses keeps its words in cache.
-DRAWS_PER_PULSE = 5
-_CHUNK = 1 << 14
+# The count sampler draws no words per pulse; bench/run.py still reads the name.
+DRAWS_PER_PULSE = 0
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.bob_detector_efficiency <= 1.0:
             raise ParameterError("bob_detector_efficiency must lie in (0, 1]")
-        if self.n_pulses < 1:
-            raise ParameterError("n_pulses must be positive")
+        # the count draws take int64 counts and would truncate a float
+        n = self.n_pulses
+        if not (isinstance(n, (int, np.integer)) and 1 <= n < 2**63):
+            raise ParameterError("n_pulses must be an integer in [1, 2**63)")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in 64 bits")
 
@@ -410,9 +409,8 @@ def critical_transmission(
 
 
 def _detection_tables(states, survival: float):
-    """Detected patterns (m, 2), table numbers (m,) and cumulative
-    probabilities (m,) of every nonzero entry of every detection table, in
-    table order and lexicographic within a table; table 2·i + b is sent
+    """Detected patterns (m, 2) and the (2·len(states), m) matrix of their
+    probabilities, patterns in lexicographic order; row 2·i + b is sent
     state i in receiver basis ``BASES[b]``.
 
     The amplitudes are one product of the states' stacked amplitude arrays
@@ -431,140 +429,92 @@ def _detection_tables(states, survival: float):
     w = np.abs(amps) ** 2
     w /= w.sum(axis=1, keepdims=True)
     probs = w @ thinning_matrix(2, survival)
-    cum = np.cumsum(probs, axis=1)
-    if np.any(np.abs(cum[:, -1] - 1.0) > 1e-9):
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
         raise ParameterError("detected-count probabilities do not sum to 1")
-    table, entry = np.nonzero(probs)
-    return detected[entry], table, cum[table, entry]
-
-
-# Generator.random makes the draw u = d·2**-53 of a word w, d = w >> 11, so
-# d decides each boundary exactly: u >= 1/2 is w's top bit, u < c is
-# d < ceil(c·2**53) and cum <= u is ceil(cum·2**53) <= d.  Table k is offset
-# by k << 53; its last entry, (k + 1) << 53, bounds the search to the table.
-# The offsets must stay inside int64, which caps the number of tables.  A
-# guide (Chen & Asau) splits each table into 2**_GUIDE_BITS equal buckets and
-# answers every draw whose bucket holds no boundary; only the rest search.
-_DRAW_BITS = 53
-_MAX_TABLES = 1 << (63 - _DRAW_BITS)
-_GUIDE_BITS = 8
-
-
-def _keyed_cdf(cum: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One sorted int64 search array over cumulative probabilities ``cum``
-    of the contiguous tables ``key`` (numbered 0, 1, ... in order), and its
-    guide: per bucket the search position shared by all its draws, else -1.
-
-    Each table's last entry is taken as exactly 1 (a cumulative sum may end
-    a rounding step off), as clamping a per-table search would do.
-    """
-    key = np.asarray(key, dtype=np.int64)
-    if key[-1] >= _MAX_TABLES - 1:
-        raise ParameterError(f"at most {_MAX_TABLES - 1} sampling tables")
-    cum = np.minimum(cum, 1.0)
-    cum[np.append(key[1:] != key[:-1], True)] = 1.0
-    icdf = np.ceil(cum * 2.0**_DRAW_BITS).astype(np.int64) + (key << _DRAW_BITS)
-    # bucket b, [b, b + 1)·width, has one answer unless an entry is inside it
-    width = 1 << (_DRAW_BITS - _GUIDE_BITS)
-    guide = np.searchsorted(icdf, np.arange((key[-1] + 1) << _GUIDE_BITS) * width, "right")
-    guide[icdf[icdf % width != 0] // width] = -1
-    return icdf, guide
-
-
-def _top(words: np.ndarray, n: int) -> np.ndarray:
-    """The top ``n`` bits of each 64-bit word, as int64."""
-    return (words >> (64 - n)).view(np.int64)
-
-
-def _search(icdf, guide, words: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position in ``icdf`` of each word's categorical outcome in table
-    ``keys`` (int64): searchsorted(icdf, (keys << 53) | (words >> 11), "right").
-    """
-    j = guide[(keys << _GUIDE_BITS) | _top(words, _GUIDE_BITS)]
-    miss = np.flatnonzero(j < 0)
-    q = (keys[miss] << _DRAW_BITS) | _top(words[miss], _DRAW_BITS)
-    j[miss] = np.searchsorted(icdf, q, "right")
-    return j
+    return detected, probs
 
 
 def run_protocol_monte_carlo(
     config: ProtocolConfig, attack: AttackStrategy = NO_ATTACK
 ) -> SimReport:
-    """Simulate the full protocol pulse by pulse.
+    """Simulate the full protocol by sampling the report's counts.
 
     The source is analysed once (see :func:`analyze`; an explicit catalog
     enters as ``analyze(catalog)``).  A source without heralding sends
-    every pulse as prepared; the pair source samples the sender's
-    heralding measurement per pulse and skips unaccepted pulses.
+    every pulse as prepared; the pair source's heralding measurement
+    decides which pulses the sender accepts.
 
-    Every categorical draw is one exact lookup in a keyed CDF, and the
-    lookup position alone fixes the pulse's outcome, so the tally is a
-    count per CDF entry.
+    Pulses are independent, so the number of pulses in each detection
+    table (sent state, receiver basis) and each detected pattern is
+    multinomial, and every report field is a sum of those counts.  They
+    are drawn in three stages from one Philox generator keyed by the
+    seed, so the cost does not grow with the number of pulses:
+
+    1. one multinomial over the sent tables, the last category the pulses
+       the sender does not accept; honest and attacked runs of one seed
+       share this draw;
+    2. attacked runs only: the eavesdropper's conclusive count per table,
+       binomial with the state's conclusive probability, regrouped by
+       label into the tables of her resends;
+    3. one multinomial per table over its detected patterns, all tables
+       in one draw.
     """
     eta_b = config.bob_detector_efficiency
     attack_requested = attack.kind == ATTACK_CONCLUSIVE
     model = analyze(config.source)
-    labels, heralding = model.labels, model.heralding
+    labels = model.labels
     conclusive_probs = model.conclusive if attack_requested else None
     attack_unavailable = attack_requested and conclusive_probs is None
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
 
-    # --- detection tables, keyed 2 * table + receiver basis ----------
+    # per-pulse probability of each sent state: the sender's basis (1/2),
+    # then her bit (1/2) or her heralding branch, normalised per basis
+    p_state = np.full(len(labels), 0.25)
+    for weights, index in model.heralding:
+        accepted = index >= 0
+        p_state[index[accepted]] = 0.5 * weights[accepted] / weights.sum()
+    # stage 1: pulses per sent table (receiver's basis 1/2 each), the last
+    # category the pulses the sender does not accept
+    p_table = np.append(np.repeat(p_state / 2, 2), 0.0)
+    n_table = rng.multinomial(config.n_pulses, p_table)[:-1]
+    accepted_n = int(n_table.sum())
+
     if conclusive_probs is None:
-        sent, survival = model.ensemble.states, config.channel.transmission * eta_b
-        tables_label = labels
+        states, survival = model.ensemble.states, config.channel.transmission * eta_b
+        eve_conclusive = 0
     else:
-        # the eavesdropper resends the ideal state of the label she
-        # identified, right at the receiver: one table per label
-        sent = [mq.state for mq in ideal_signal_states()]
-        survival, tables_label = eta_b, np.arange(4)
-        eve_limit = np.ceil(conclusive_probs * 2.0**_DRAW_BITS).astype(np.int64)
-    patterns, key, cum = _detection_tables(sent, survival)
-    icdf, guide = _keyed_cdf(cum, key)
-    # outcome of each entry: detection class (0 none, 1 V only, 2 H only,
-    # 3 double), whether the bases match, and the sender's bit
-    cls = (patterns[:, 0] > 0) + 2 * (patterns[:, 1] > 0)
-    entry_label = tables_label[key // 2]
-    match = (entry_label >> 1) == (key & 1)
-    bit = (entry_label & 1) == 1
+        # stage 2: the measurement is applied to every accepted pulse; with
+        # zero cross-talk a conclusive outcome always carries the true
+        # label, and the eavesdropper resends the ideal state of that label
+        # right at the receiver: one table per (label, receiver basis)
+        conclusive = rng.binomial(n_table, np.repeat(conclusive_probs, 2))
+        eve_conclusive = int(conclusive.sum())
+        sent = np.arange(len(n_table))
+        n_table = np.zeros(8, dtype=np.int64)
+        np.add.at(n_table, 2 * labels[sent // 2] + sent % 2, conclusive)
+        states, survival = [mq.state for mq in ideal_signal_states()], eta_b
+        labels = np.arange(4)
+    # stage 3: numpy's multinomial leaves what rounding does not assign
+    # (about n·2**-53 pulses) to its last category; a zero column takes it
+    # over to each table's last possible pattern, so an impossible pattern
+    # never occurs
+    patterns, probs = _detection_tables(states, survival)
+    counts = rng.multinomial(n_table, np.pad(probs, ((0, 0), (0, 1))))
+    row = np.arange(len(counts))
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    counts[row, last] += counts[:, -1]
+    counts = counts[:, :-1]
 
-    # --- pulse loop, chunked, on the 64-bit words ----------------------
-    if heralding:
-        herald_key = np.repeat(np.arange(len(heralding)), [len(w) for w, _ in heralding])
-        herald_cum = np.concatenate([np.cumsum(w / w.sum()) for w, _ in heralding])
-        herald_icdf, herald_guide = _keyed_cdf(herald_cum, herald_key)
-        herald_table = np.concatenate([index for _, index in heralding])
-    bits = np.random.Philox(key=config.seed)
-    counts = np.zeros(len(icdf), dtype=np.int64)
-    accepted_n = 0
-    eve_conclusive = 0
-    n_left = config.n_pulses
-    while n_left > 0:
-        m = min(n_left, _CHUNK)
-        n_left -= m
-        w = bits.random_raw((m, DRAWS_PER_PULSE))
-        basis_a = _top(w[:, 0], 1)  # 0: "+", 1: "x"
-        if heralding:
-            table = herald_table[_search(herald_icdf, herald_guide, w[:, 1], basis_a)]
-            accepted = table >= 0
-            w, table = w[accepted], table[accepted]
-        else:
-            table = 2 * basis_a + _top(w[:, 1], 1)
-        accepted_n += len(table)
-        if conclusive_probs is not None:
-            # the measurement is applied to every accepted pulse; with
-            # zero cross-talk a conclusive outcome always carries the
-            # true label, and only those pulses reach the receiver
-            conclusive = _top(w[:, 2], _DRAW_BITS) < eve_limit[table]
-            w, table = w[conclusive], labels[table[conclusive]]
-            eve_conclusive += len(table)
-        j = _search(icdf, guide, w[:, 4], 2 * table + _top(w[:, 3], 1))
-        counts += np.bincount(j, minlength=len(icdf))
-
-    single = (cls == 1) | (cls == 2)
-    sift = single & match
-    detections = int(counts[single].sum())
-    sifted = int(counts[sift].sum())
-    errors = int(counts[sift & ((cls == 2) != bit)].sum())
+    # a lone V click reads bit 0, a lone H click bit 1; a pulse is sifted
+    # when the receiver's basis is the sender's
+    clicks_v, clicks_h = patterns[:, 0] > 0, patterns[:, 1] > 0
+    v_only = counts[:, clicks_v & ~clicks_h].sum(axis=1)
+    h_only = counts[:, clicks_h & ~clicks_v].sum(axis=1)
+    label = labels[row // 2]
+    match = (label >> 1) == row % 2
+    detections = int(v_only.sum() + h_only.sum())
+    sifted = int(v_only[match].sum() + h_only[match].sum())
+    errors = int(np.where(label & 1, v_only, h_only)[match].sum())
     n = config.n_pulses
     return SimReport(
         pulses_sent=n,
@@ -575,7 +525,7 @@ def run_protocol_monte_carlo(
         sifted_bits=sifted,
         sifted_errors=errors,
         qber=errors / sifted if sifted else 0.0,
-        double_clicks=int(counts[cls == 3].sum()),
+        double_clicks=int(counts[:, clicks_v & clicks_h].sum()),
         eve_conclusive_count=eve_conclusive,
         eve_known_fraction_of_sifted=(
             1.0 if sifted and conclusive_probs is not None else 0.0

@@ -589,6 +589,12 @@ def test_failed_run_leaves_out_file_as_it_was(tmp_path, capsys, argv):
     assert target.read_text() == "precious\n"
 
 
+def test_simulate_rejects_pulse_counts_beyond_int64(capsys):
+    rc, out, err = run_cli(["simulate", "--pulses", str(2**63)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: n_pulses must be an integer in [1, 2**63)\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_write_errors_are_usage_errors(capsys):
     rc, out, err = run_cli(["threshold", "--out", "/dev/full"], capsys)

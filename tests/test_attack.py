@@ -672,15 +672,21 @@ def _expected_counts(model, t, n, attack, eta_b):
     return expected
 
 
-def _assert_report_matches_expectation(rep, model, t, n, attack, eta_b):
+def _assert_counts_match_expectation(counts, model, t, n, attack, eta_b):
+    """Each count field of ``counts`` (a mapping) within 5σ of its mean."""
     expected = _expected_counts(model, t, n, attack, eta_b)
     for field, mean in expected.items():
-        count, p = getattr(rep, field), mean / n
+        count, p = counts[field], mean / n
         if p == 0.0:
             assert count == 0, field
         else:
             sigma = math.sqrt(n * p * max(1.0 - p, 0.0))
             assert abs(count - mean) <= 5 * sigma + 1, (field, count, mean)
+
+
+def _assert_report_matches_expectation(rep, model, t, n, attack, eta_b):
+    counts = {field: getattr(rep, field) for field in _COUNT_FIELDS}
+    _assert_counts_match_expectation(counts, model, t, n, attack, eta_b)
     # the remaining fields follow from the counts and the attack
     unavailable = attack.kind == ATTACK_CONCLUSIVE and model.conclusive is None
     acc, det, sifted = rep.alice_accepted, rep.bob_detections, rep.sifted_bits
@@ -731,6 +737,32 @@ def test_mc_counts_match_their_exact_expectation_in_small_chunks():
         _assert_report_matches_expectation(rep, model, 0.5, 25_000, attack, 0.7)
 
 
+_CHUNKED_RUNS = {
+    "wcp-honest": dict(source=wcp(0.3), t=0.4, attack=NO_ATTACK),
+    "wcp-attacked": dict(source=wcp(0.9), t=0.2, attack=CONCLUSIVE_ATTACK),
+    "pdc-eta0.8": dict(source=pdc(0.3, eta=0.8), t=0.7, attack=NO_ATTACK),
+}
+
+
+# Pulses are independent, so a run split into chunks, each its own run with
+# its own seed, pools to counts of the same distribution as one run; chunks
+# of 1 and 7 pulses take every sampling stage down to a handful of pulses
+@pytest.mark.parametrize("chunk", [1, 7, 1000, None], ids=["1", "7", "1000", "default"])
+@pytest.mark.parametrize("name", list(_CHUNKED_RUNS))
+def test_mc_chunking_invariance(name, chunk):
+    source, t, attack = _CHUNKED_RUNS[name].values()
+    model, n = analyze(source), 2500
+    chunk = chunk or n
+    sizes = [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+    pooled = dict.fromkeys(_COUNT_FIELDS, 0)
+    for seed, size in enumerate(sizes, start=11):
+        rep = run(model, t, size, seed, attack=attack)
+        assert rep.pulses_sent == size
+        for field in _COUNT_FIELDS:
+            pooled[field] += getattr(rep, field)
+    _assert_counts_match_expectation(pooled, model, t, n, attack, 1.0)
+
+
 @pytest.mark.parametrize("eta_b", [1.0, 0.7])
 @pytest.mark.parametrize("t", [3e-3, 0.5, 0.9])
 @pytest.mark.parametrize("name", list(_ORACLE_SOURCES))
@@ -747,6 +779,33 @@ def test_expected_counts_agree_with_the_analytic_yields(name, t, eta_b):
         return
     clicks = attacked["bob_detections"] + attacked["double_clicks"]
     assert clicks == pytest.approx(eve_conclusive_rate(model) * eta_b, rel=1e-12)
+
+
+# ------------------------------------------- the keyed generator's draws
+
+# The count draws read the Philox generator keyed by the seed only through
+# numpy's binomial sampler (multinomial draws are binomials per category),
+# which turns each Philox word into a uniform draw of its top 53 bits.
+# These pin that conversion over the seed range, so a changed frozen report
+# with these passing points at numpy's sampling algorithms, not the stream.
+@pytest.mark.parametrize("key", [0, 1, 2**32, 2**64 - 1])
+def test_philox_draws_lie_on_the_exact_grid(key):
+    u = np.random.Generator(np.random.Philox(key=key)).random(100_000)
+    scaled = u * 2.0**53
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert u.min() >= 0.0 and u.max() < 1.0
+
+
+# a prefix of 3 or 5 words leaves Philox inside one of its 4-word blocks
+@pytest.mark.parametrize("prefix", [0, 3, 5])
+@pytest.mark.parametrize("key", [0, 1, 2**32, 2**64 - 1])
+def test_philox_words_are_the_draws_of_generator_random(key, prefix):
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    bits.random_raw(prefix)
+    gen.random(prefix)
+    words = bits.random_raw(10_000)
+    np.testing.assert_array_equal(words >> 11, (gen.random(10_000) * 2.0**53).astype(np.uint64))
 
 
 _VALID_REPORT = dict(

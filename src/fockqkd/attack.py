@@ -10,10 +10,10 @@ computes honest detection yields, photon-number statistics, the
 per-pulse conclusive rate, and the critical transmission below which
 the attack reproduces the honest yield with zero induced error.
 
-Every source enters through :func:`analyze`, which builds one
-:class:`SourceModel` for the analytics and the Monte Carlo to share: the
-weak pulse, the pair source, and an explicit four-state catalog such as
-the ideal single-photon one the realistic sources are judged against.
+Every source enters through :func:`fockqkd.sources.analyze`, also
+importable from here, as one :class:`SourceModel` that the analytics and
+the Monte Carlo share: the weak pulse, the pair source, or a four-state
+catalog such as the ideal single-photon one the eavesdropper resends.
 
 Randomness: a run samples its report's counts, not its pulses.  Pulses
 are independent, so the counts per detection table and detected pattern
@@ -28,28 +28,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
-from fockqkd.discrimination import (
-    ConsistencyError,
-    NotDiscriminable,
-    StateEnsemble,
-    usd_povm_equal,
-)
-from fockqkd.fock import EPS_AMP, N_MAX, pattern_index, rotation_matrix, thinning_matrix
+from fockqkd.discrimination import ConsistencyError, StateEnsemble
+from fockqkd.fock import EPS_AMP, pattern_index, rotation_matrix, thinning_matrix
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
-    SENDER_BIT_FOR_DETECTED,
-    ModifiedQubit,
     ParameterError,
+    SourceModel,
     SourceParams,
-    alice_measure,
+    analyze,
     ideal_signal_states,
-    pdc_modified_singlet,
-    signal_states,
 )
 
 ATTACK_NONE = "none"
@@ -106,11 +98,13 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.bob_detector_efficiency <= 1.0:
             raise ParameterError("bob_detector_efficiency must lie in (0, 1]")
-        # the count draws take int64 counts and would truncate a float
-        n = self.n_pulses
-        if not (isinstance(n, (int, np.integer)) and 1 <= n < 2**63):
+        # int64 counts would truncate a float; a float or bool seed keys an int one
+        n, seed, integer = self.n_pulses, self.seed, (int, np.integer)
+        if not (isinstance(n, integer) and type(n) is not bool and 1 <= n < 2**63):
             raise ParameterError("n_pulses must be an integer in [1, 2**63)")
-        if not 0 <= self.seed < 2**64:
+        if not (isinstance(seed, integer) and type(seed) is not bool):
+            raise ParameterError("seed must be an integer")
+        if not 0 <= seed < 2**64:
             raise ParameterError("seed must fit in 64 bits")
 
 
@@ -152,107 +146,6 @@ class SimReport:
         )
         if not ok:
             raise ParameterError("inconsistent simulation counts")
-
-
-# ---------------------------------------------------- source analysis
-
-
-def _total_photon_distribution(states) -> np.ndarray:
-    """Row i: the photon-number distribution of ``states[i]``."""
-    a = np.array([s.array for s in states])
-    bins = np.arange(len(a))[:, None] * (N_MAX + 1)  # one bincount, row by row
-    bins = bins + pattern_index(states[0].mode_count)[2].sum(axis=1)
-    probs = np.bincount(bins.ravel(), (np.abs(a) ** 2).ravel(), len(a) * (N_MAX + 1))
-    probs = probs.reshape(len(a), N_MAX + 1)
-    return probs / probs.sum(axis=1, keepdims=True)
-
-
-@dataclass(frozen=True, eq=False)
-class SourceModel:
-    """What the analytics and the Monte Carlo need from a source (see
-    :func:`analyze`).  ``source`` is None for an explicit catalog.
-    Ensemble state i has label 2·basis + bit ``labels[i]`` and is emitted
-    with ``emission_probability[i]`` (its heralding branch weight, else 1).
-    ``heralding`` holds, per sender basis, the weight of every nonzero
-    (true, detected) entry of the sender's measurement table in row-major
-    order and its ensemble index (-1: not accepted); it is empty when every
-    pulse is sent as prepared.  ``photon_distribution`` is that of the
-    receiver-bound state (for the pair source, given acceptance),
-    ``emitted`` that of the whole emitted state.  The arrays are read-only.
-    """
-
-    source: SourceParams | None
-    ensemble: StateEnsemble
-    labels: np.ndarray
-    emission_probability: np.ndarray
-    heralding: tuple[tuple[np.ndarray, np.ndarray], ...]
-    photon_distribution: np.ndarray
-    emitted: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = [self.labels, self.emission_probability, self.photon_distribution]
-        for arr in arrays + [self.emitted, *(a for pair in self.heralding for a in pair)]:
-            arr.setflags(write=False)
-
-    @cached_property
-    def conclusive(self) -> np.ndarray | None:
-        """Per-state conclusive probabilities of the equal-probability USD,
-        or None when the ensemble admits no unambiguous measurement;
-        computed on first use."""
-        try:
-            return usd_povm_equal(self.ensemble).conclusive_probabilities
-        except NotDiscriminable:
-            return None
-
-
-def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceModel:
-    """Analyse a source once; a :class:`SourceModel` is returned unchanged.
-
-    Weak pulse, or an explicit four-state catalog in the order (+0, +1,
-    x0, x1) such as :func:`~fockqkd.sources.ideal_signal_states`: the four
-    states with equal priors, every pulse sent as prepared.  The four
-    share one photon-number distribution (polarization does not change
-    photon number), read from the first.  Pair source: the nonzero entries
-    of each basis's :func:`~fockqkd.sources.alice_measure` table, in
-    row-major order, are its heralding branches; the one acceptance rule,
-    ``SENDER_BIT_FOR_DETECTED`` as an array lookup on the detected pattern,
-    puts every accepted branch in the ensemble with its probability as
-    prior (with perfect sender detectors these are the four heralded
-    states; inefficiency adds misread branches, which only worsens
-    discriminability).
-    """
-    if isinstance(source, SourceModel):
-        return source
-    params = source if isinstance(source, SourceParams) else None
-    if params is None or params.kind == "wcp":
-        catalog = source if params is None else signal_states(params)
-        if len(catalog) != 4:
-            raise ParameterError("signal catalog must hold the four states")
-        states = [mq.state for mq in catalog]
-        dist = _total_photon_distribution(states[:1])[0]
-        ensemble = StateEnsemble(states)
-        return SourceModel(params, ensemble, np.arange(4), np.ones(4), (), dist, dist)
-    singlet = pdc_modified_singlet(source)
-    detected = pattern_index(2)[0]
-    bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in detected])
-    states, labels, heralding = [], [], []
-    for a, basis in enumerate(BASES):
-        _, units, joint = alice_measure(singlet, basis, source)
-        true, k = np.nonzero(joint)
-        bit = bit_of[k]
-        accepted = bit >= 0
-        index = np.where(accepted, len(states) + np.cumsum(accepted) - 1, -1)
-        heralding.append((joint[true, k], index))
-        states += [units[i] for i in true[accepted]]
-        labels.append(2 * a + bit[accepted])
-    w = np.concatenate([branch_w[index >= 0] for branch_w, index in heralding])
-    total_w = sum(w.tolist())
-    if total_w == 0.0:
-        raise ParameterError("pair source has no accepted branches")
-    dist = (w[:, None] * _total_photon_distribution(states)).sum(axis=0)
-    ensemble = StateEnsemble(states, w / w.sum())
-    return SourceModel(source, ensemble, np.concatenate(labels), w, tuple(heralding),
-                       dist / total_w, _total_photon_distribution([singlet])[0])
 
 
 # ----------------------------------------------------- analytic yields
@@ -434,15 +327,20 @@ def _detection_tables(states, survival: float):
     return detected, probs
 
 
+@cache
+def _resend_model() -> SourceModel:
+    """The ideal catalog the eavesdropper resends from, analysed on first use."""
+    return analyze(ideal_signal_states())
+
+
 def run_protocol_monte_carlo(
     config: ProtocolConfig, attack: AttackStrategy = NO_ATTACK
 ) -> SimReport:
     """Simulate the full protocol by sampling the report's counts.
 
     The source is analysed once (see :func:`analyze`; an explicit catalog
-    enters as ``analyze(catalog)``).  A source without heralding sends
-    every pulse as prepared; the pair source's heralding measurement
-    decides which pulses the sender accepts.
+    enters as ``analyze(catalog)``); its record's send probabilities say
+    which state a pulse carries, if the sender accepts it at all.
 
     Pulses are independent, so the number of pulses in each detection
     table (sent state, receiver basis) and each detected pattern is
@@ -462,43 +360,35 @@ def run_protocol_monte_carlo(
     eta_b = config.bob_detector_efficiency
     attack_requested = attack.kind == ATTACK_CONCLUSIVE
     model = analyze(config.source)
-    labels = model.labels
     conclusive_probs = model.conclusive if attack_requested else None
     attack_unavailable = attack_requested and conclusive_probs is None
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
-    # per-pulse probability of each sent state: the sender's basis (1/2),
-    # then her bit (1/2) or her heralding branch, normalised per basis
-    p_state = np.full(len(labels), 0.25)
-    for weights, index in model.heralding:
-        accepted = index >= 0
-        p_state[index[accepted]] = 0.5 * weights[accepted] / weights.sum()
     # stage 1: pulses per sent table (receiver's basis 1/2 each), the last
     # category the pulses the sender does not accept
-    p_table = np.append(np.repeat(p_state / 2, 2), 0.0)
+    p_table = np.append(np.repeat(model.send_probability / 2, 2), 0.0)
     n_table = rng.multinomial(config.n_pulses, p_table)[:-1]
     accepted_n = int(n_table.sum())
 
-    if conclusive_probs is None:
-        states, survival = model.ensemble.states, config.channel.transmission * eta_b
-        eve_conclusive = 0
-    else:
+    received, survival = model, config.channel.transmission * eta_b
+    eve_conclusive = 0
+    if conclusive_probs is not None:
         # stage 2: the measurement is applied to every accepted pulse; with
         # zero cross-talk a conclusive outcome always carries the true
         # label, and the eavesdropper resends the ideal state of that label
-        # right at the receiver: one table per (label, receiver basis)
+        # right at the receiver: one table per (label, receiver basis),
+        # the ideal catalog's state i having label i
         conclusive = rng.binomial(n_table, np.repeat(conclusive_probs, 2))
         eve_conclusive = int(conclusive.sum())
         sent = np.arange(len(n_table))
         n_table = np.zeros(8, dtype=np.int64)
-        np.add.at(n_table, 2 * labels[sent // 2] + sent % 2, conclusive)
-        states, survival = [mq.state for mq in ideal_signal_states()], eta_b
-        labels = np.arange(4)
+        np.add.at(n_table, 2 * model.labels[sent // 2] + sent % 2, conclusive)
+        received, survival = _resend_model(), eta_b
     # stage 3: numpy's multinomial leaves what rounding does not assign
     # (about n·2**-53 pulses) to its last category; a zero column takes it
     # over to each table's last possible pattern, so an impossible pattern
     # never occurs
-    patterns, probs = _detection_tables(states, survival)
+    patterns, probs = _detection_tables(received.ensemble.states, survival)
     counts = rng.multinomial(n_table, np.pad(probs, ((0, 0), (0, 1))))
     row = np.arange(len(counts))
     last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
@@ -510,7 +400,7 @@ def run_protocol_monte_carlo(
     clicks_v, clicks_h = patterns[:, 0] > 0, patterns[:, 1] > 0
     v_only = counts[:, clicks_v & ~clicks_h].sum(axis=1)
     h_only = counts[:, clicks_h & ~clicks_v].sum(axis=1)
-    label = labels[row // 2]
+    label = received.labels[row // 2]
     match = (label >> 1) == row % 2
     detections = int(v_only.sum() + h_only.sum())
     sifted = int(v_only[match].sum() + h_only[match].sum())

@@ -11,6 +11,10 @@ the multiphoton state the hardware actually emits:
   measures one arm and the receiver-bound state is the projected
   remainder.
 
+:func:`analyze` turns a source or a four-state catalog into the one
+:class:`SourceModel` that :mod:`fockqkd.attack` reads; it alone applies
+the pair source's acceptance rule, ``SENDER_BIT_FOR_DETECTED``.
+
 Mode conventions follow :mod:`fockqkd.fock`: receiver-side states are
 ``(V, H)``; two-arm states are ``(sender-V, sender-H, receiver-V,
 receiver-H)``.  Bit wiring is fixed so that bit 0 in the rectilinear
@@ -21,9 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from fockqkd.discrimination import NotDiscriminable, StateEnsemble, usd_povm_equal
 from fockqkd.fock import (
     FockVector,
     N_MAX,
@@ -53,6 +59,7 @@ _POLARIZATION = {
     ("x", 0): (1 / SQ2, 1 / SQ2),
     ("x", 1): (1 / SQ2, -1 / SQ2),
 }
+_LABEL = {key: i for i, key in enumerate(_POLARIZATION)}  # 2·basis + bit
 
 # Sender-side detector wiring: the two arms of a pair source are
 # anticorrelated, so detecting the H-polarized (rotated) photon heralds
@@ -218,8 +225,8 @@ def alice_measure(singlet: FockVector, basis: str, params: SourceParams):
     unit state after it, and ``joint[i, k]`` its weight times the cached
     thinning matrix entry (true[i], k) of the detector efficiency, the
     probability that the detectors then register pattern k (no dark
-    counts).  ``joint`` sums to 1; :func:`fockqkd.attack.analyze` decides
-    which detected patterns herald a bit.
+    counts).  ``joint`` sums to 1; :func:`analyze` decides which detected
+    patterns herald a bit.
     """
     if singlet.mode_count != 4:
         raise ParameterError("sender measurement expects a 4-mode state")
@@ -234,36 +241,138 @@ def alice_measure(singlet: FockVector, basis: str, params: SourceParams):
 def signal_states(params: SourceParams) -> list[ModifiedQubit]:
     """The weak pulse's four signal states in fixed order (+0, +1, x0, x1).
 
-    The pair source's heralded ensemble comes from
-    :func:`fockqkd.attack.analyze`, which runs the sender measurement.
+    The pair source's heralded ensemble comes from :func:`analyze`, which
+    runs the sender measurement.
     """
     return _wcp_states(params, [(basis, bit) for basis in BASES for bit in (0, 1)])
 
 
 def ideal_signal_states() -> list[ModifiedQubit]:
     """The four ideal single-photon signal states (diagnostic catalog)."""
-    return [
-        ModifiedQubit(basis, bit, ideal_bb84_state(basis, bit))
-        for basis in BASES
-        for bit in (0, 1)
-    ]
+    return [ModifiedQubit(b, bit, ideal_bb84_state(b, bit)) for b, bit in _POLARIZATION]
+
+
+# ---------------------------------------------------- source analysis
+
+
+def _total_photon_distribution(states) -> np.ndarray:
+    """Row i: the photon-number distribution of ``states[i]``."""
+    a = np.array([s.array for s in states])
+    bins = np.arange(len(a))[:, None] * (N_MAX + 1)  # one bincount, row by row
+    bins = bins + pattern_index(states[0].mode_count)[2].sum(axis=1)
+    probs = np.bincount(bins.ravel(), (np.abs(a) ** 2).ravel(), len(a) * (N_MAX + 1))
+    probs = probs.reshape(len(a), N_MAX + 1)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+@dataclass(frozen=True, eq=False)
+class SourceModel:
+    """What the analytics and the Monte Carlo need from a source (see
+    :func:`analyze`); ``source`` is None for an explicit catalog.  Ensemble
+    state i has label 2·basis + bit ``labels[i]``, is emitted with
+    ``emission_probability[i]`` (its heralding branch weight, else 1) and
+    sent on a pulse with ``send_probability[i]`` (the sender's basis 1/2,
+    then her bit 1/2 or her branch, normalised per basis).  ``heralding``
+    holds, per sender basis, the weight of every nonzero (true, detected)
+    entry of the sender's measurement table in row-major order and its
+    ensemble index (-1: not accepted); it is empty when every pulse is
+    sent as prepared.  ``photon_distribution`` is that of the receiver-
+    bound state (for the pair source, given acceptance), ``emitted`` that
+    of the whole emitted state.  The arrays are read-only.
+    """
+
+    source: SourceParams | None
+    ensemble: StateEnsemble
+    labels: np.ndarray
+    emission_probability: np.ndarray
+    send_probability: np.ndarray
+    heralding: tuple[tuple[np.ndarray, np.ndarray], ...]
+    photon_distribution: np.ndarray
+    emitted: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.labels, self.emission_probability, self.send_probability,
+                    self.photon_distribution, self.emitted, *sum(self.heralding, ())):
+            arr.setflags(write=False)
+
+    @cached_property
+    def conclusive(self) -> np.ndarray | None:
+        """Per-state conclusive probabilities of the equal-probability USD,
+        or None when the ensemble admits no unambiguous measurement;
+        computed on first use."""
+        try:
+            return usd_povm_equal(self.ensemble).conclusive_probabilities
+        except NotDiscriminable:
+            return None
+
+
+def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceModel:
+    """Analyse a source once; a :class:`SourceModel` is returned unchanged.
+
+    Weak pulse, or an explicit catalog such as :func:`ideal_signal_states`
+    holding each (basis, bit) exactly once in any order: the four states
+    with equal priors, labelled from their entries, every pulse sent as
+    prepared.  The four share one photon-number distribution
+    (polarization does not change photon number), read from the first.
+    Pair source: the nonzero entries of each basis's :func:`alice_measure`
+    table, in row-major order, are its heralding branches; the one
+    acceptance rule, ``SENDER_BIT_FOR_DETECTED`` as an array lookup on the
+    detected pattern, puts every accepted branch in the ensemble with its
+    probability as prior (with perfect sender detectors these are the
+    four heralded states; inefficiency adds misread branches, which only
+    worsens discriminability).
+    """
+    if isinstance(source, SourceModel):
+        return source
+    params = source if isinstance(source, SourceParams) else None
+    if params is None or params.kind == WCP:
+        catalog = source if params is None else signal_states(params)
+        labels = np.array([_LABEL.get((mq.basis, mq.bit), -1) for mq in catalog])
+        if sorted(labels.tolist()) != [0, 1, 2, 3]:
+            raise ParameterError("signal catalog must hold each (basis, bit) once")
+        states = [mq.state for mq in catalog]
+        dist = _total_photon_distribution(states[:1])[0]
+        return SourceModel(params, StateEnsemble(states), labels, np.ones(4),
+                           np.full(4, 0.25), (), dist, dist)
+    singlet = pdc_modified_singlet(source)
+    detected = pattern_index(2)[0]
+    bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in detected])
+    states, labels, send, heralding = [], [], [], []
+    for a, basis in enumerate(BASES):
+        _, units, joint = alice_measure(singlet, basis, source)
+        true, k = np.nonzero(joint)
+        weights, bit = joint[true, k], bit_of[k]
+        accepted = bit >= 0
+        index = np.where(accepted, len(states) + np.cumsum(accepted) - 1, -1)
+        heralding.append((weights, index))
+        send.append(0.5 * weights[accepted] / weights.sum())
+        states += [units[i] for i in true[accepted]]
+        labels.append(2 * a + bit[accepted])
+    w = np.concatenate([branch_w[index >= 0] for branch_w, index in heralding])
+    total_w = sum(w.tolist())
+    if total_w == 0.0:
+        raise ParameterError("pair source has no accepted branches")
+    dist = (w[:, None] * _total_photon_distribution(states)).sum(axis=0)
+    ensemble = StateEnsemble(states, w / w.sum())
+    return SourceModel(source, ensemble, np.concatenate(labels), w, np.concatenate(send),
+                       tuple(heralding), dist / total_w,
+                       _total_photon_distribution([singlet])[0])
 
 
 def pdc_accepted_branches(
     params: SourceParams, basis: str
 ) -> list[tuple[int, WeightedState]]:
-    """(bit, weighted state) of each accepted entry of one basis's
-    :func:`alice_measure` table, in row-major order.
+    """(bit, weighted state) of each of one basis's branches in
+    :func:`analyze`'s ensemble, in :func:`alice_measure`'s row-major order.
 
     With perfect sender detectors this is exactly the two heralded
     states; with efficiency below 1 extra branches appear (a multiphoton
     arrival read as a single click), which is what breaks the two-
     dimensional structure of the heralded catalog.
     """
-    _, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
-    detected = pattern_index(2)[0]
-    return [
-        (SENDER_BIT_FOR_DETECTED[detected[k]], WeightedState(states[i], float(joint[i, k])))
-        for i, k in zip(*np.nonzero(joint))
-        if detected[k] in SENDER_BIT_FOR_DETECTED
-    ]
+    if params.kind != PDC or basis not in BASES:
+        raise ParameterError(f"need a pdc source and a basis of {BASES}")
+    model = analyze(params)
+    rows = zip(model.labels, model.emission_probability, model.ensemble.states)
+    return [(int(label & 1), WeightedState(state, float(weight)))
+            for label, weight, state in rows if label >> 1 == BASES.index(basis)]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import fockqkd.attack as attack_mod
+import fockqkd.sources as sources_mod
 from fockqkd.attack import (
     ATTACK_CONCLUSIVE,
     ATTACK_NONE,
@@ -107,6 +108,13 @@ def test_protocol_config_validation():
         ProtocolConfig(
             source=wcp(), channel=ch, n_pulses=10, seed=1, bob_detector_efficiency=0.0
         )
+    # a float or bool would run as the report of some integer
+    for seed in (1.5, 1.9999, True):
+        with pytest.raises(ParameterError):
+            ProtocolConfig(source=wcp(), channel=ch, n_pulses=10, seed=seed)
+    with pytest.raises(ParameterError):
+        ProtocolConfig(source=wcp(), channel=ch, n_pulses=True, seed=1)
+    ProtocolConfig(source=wcp(), channel=ch, n_pulses=np.int64(10), seed=np.uint64(2**64 - 1))
 
 
 # ------------------------------------------------------------ yields
@@ -291,9 +299,9 @@ def test_analysis_rejects_a_three_state_catalog():
 
 def test_protocol_config_reuses_a_pair_source_model(monkeypatch):
     calls = []
-    measure = attack_mod.alice_measure
+    measure = sources_mod.alice_measure
     monkeypatch.setattr(
-        attack_mod, "alice_measure", lambda *args: calls.append(args) or measure(*args)
+        sources_mod, "alice_measure", lambda *args: calls.append(args) or measure(*args)
     )
     source = pdc(0.3, eta=0.8)
     model = analyze(source)
@@ -302,6 +310,66 @@ def test_protocol_config_reuses_a_pair_source_model(monkeypatch):
     # one sender measurement per basis, made by analyze; the runs add none
     assert len(calls) == 2
     assert by_model == [run(source, 0.5, 20_000, seed=12, attack=a) for a in attacks]
+
+
+def test_analysis_lives_in_sources():
+    assert (attack_mod.analyze, attack_mod.SourceModel) == (
+        sources_mod.analyze, sources_mod.SourceModel)
+    for name in ("alice_measure", "pdc_modified_singlet", "signal_states",
+                 "SENDER_BIT_FOR_DETECTED"):
+        assert not hasattr(attack_mod, name), name
+
+
+def test_send_probability_of_each_state():
+    for source in (wcp(), ideal_signal_states()):
+        assert analyze(source).send_probability.tolist() == [0.25] * 4
+    model = analyze(pdc(0.3, eta=0.8))
+    # the sender's basis (1/2), then her heralding branch, normalised per basis
+    expected = np.zeros(len(model.labels))
+    for weights, index in model.heralding:
+        accepted = index >= 0
+        expected[index[accepted]] = 0.5 * weights[accepted] / weights.sum()
+    assert model.send_probability.tolist() == expected.tolist()
+    with pytest.raises(ValueError):
+        model.send_probability[0] = 0
+
+
+_PERMUTED = [[("+", 1), ("+", 0), ("x", 0), ("x", 1)],
+             [("x", 0), ("x", 1), ("+", 0), ("+", 1)]]
+
+
+@pytest.mark.parametrize("order", _PERMUTED, ids=["+1+0x0x1", "x0x1+0+1"])
+def test_catalog_labels_come_from_its_entries(order):
+    # labelled by position, a reordered catalog read a QBER near 1/2
+    for catalog in (ideal_signal_states(), sources_mod.signal_states(wcp())):
+        by_key = {(mq.basis, mq.bit): mq for mq in catalog}
+        permuted = [by_key[key] for key in order]
+        model = analyze(permuted)
+        assert model.labels.tolist() == [2 * BASES.index(b) + bit for b, bit in order]
+        rep = run(None, 1.0, 100_000, seed=3, catalog=permuted)
+        assert rep.sifted_bits > 0
+        assert rep.qber == 0.0
+
+
+def test_catalog_must_hold_each_label_once():
+    p0, _, x0, x1 = ideal_signal_states()
+    with pytest.raises(ParameterError):
+        analyze([p0, p0, x0, x1])
+
+
+def test_attacked_runs_analyse_the_ideal_catalog_once(monkeypatch):
+    analysed = []
+    real = attack_mod.analyze
+    monkeypatch.setattr(
+        attack_mod, "analyze", lambda source: analysed.append(source) or real(source)
+    )
+    attack_mod._resend_model.cache_clear()
+    for seed in (1, 2):
+        run(wcp(), 1e-3, 10_000, seed, attack=CONCLUSIVE_ATTACK)
+    catalogs = [source for source in analysed if isinstance(source, list)]
+    assert len(catalogs) == 1
+    assert [(mq.basis, mq.bit) for mq in catalogs[0]] == [
+        (mq.basis, mq.bit) for mq in ideal_signal_states()]
 
 
 # ---------------------------------------------- critical transmission

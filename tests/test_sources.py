@@ -10,14 +10,19 @@ amplitudes of the diagonal-basis analysis.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fockqkd.sources
 from fockqkd.attack import analyze
 from fockqkd.fock import FockVector, inner_product, normalize, pattern_index, rotate_modes
 from fockqkd.sources import (
     BASES,
+    SENDER_BIT_FOR_DETECTED,
     ModifiedQubit,
     ParameterError,
     SourceParams,
@@ -285,6 +290,54 @@ def test_pdc_qubit_first_order_is_ideal(basis, bit):
     state = dict(pdc_accepted_branches(pdc_params(0.1, order=1), basis))[bit].state
     overlap = inner_product(state, ideal_bb84_state(basis, bit))
     assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_branches(params, basis):
+    """The accepted entries of the sender's table, read through the
+    acceptance dict directly: (bit, state, weight) in row-major order."""
+    _, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
+    detected = pattern_index(2)[0]
+    return [(SENDER_BIT_FOR_DETECTED[detected[k]], states[i], float(joint[i, k]))
+            for i, k in zip(*np.nonzero(joint)) if detected[k] in SENDER_BIT_FOR_DETECTED]
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("eta", [1.0, 0.8, 0.5])
+@pytest.mark.parametrize("chi", [0.01, 0.1, 0.3])
+@pytest.mark.parametrize("order", [1, 2])
+def test_accepted_branches_are_the_sender_table_entries(order, chi, eta, basis):
+    params = pdc_params(chi, order=order, eta=eta)
+    got = [(bit, ws.state.array.tobytes(), ws.weight.hex())
+           for bit, ws in pdc_accepted_branches(params, basis)]
+    want = [(bit, state.array.tobytes(), weight.hex())
+            for bit, state, weight in _reference_branches(params, basis)]
+    assert got == want
+    assert all(type(bit) is int for bit, _ in pdc_accepted_branches(params, basis))
+
+
+def test_accepted_branches_need_a_pair_source_and_a_basis():
+    with pytest.raises(ParameterError):
+        pdc_accepted_branches(wcp_params(0.3), "+")
+    with pytest.raises(ParameterError):
+        pdc_accepted_branches(pdc_params(0.1), "z")
+
+
+# the package's own __init__ would import fockqkd.attack first
+_IMPORT_FIRST = """
+import importlib, sys, types
+package = types.ModuleType("fockqkd")
+package.__path__ = [sys.argv[1]]
+sys.modules["fockqkd"] = package
+importlib.import_module("fockqkd." + sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", ["fock", "discrimination", "sources", "attack", "cli"])
+def test_each_module_imports_first_on_its_own(module):
+    package_dir = os.path.dirname(os.path.abspath(fockqkd.sources.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FIRST, package_dir, module],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_signal_states_is_the_weak_pulse_catalog():

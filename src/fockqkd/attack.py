@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from fockqkd.discrimination import ConsistencyError, StateEnsemble
-from fockqkd.fock import EPS_AMP, pattern_index, rotation_matrix, thinning_matrix
+from fockqkd.fock import EPS_AMP, _frozen, pattern_index, rotation_matrix, thinning_matrix
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
@@ -307,24 +307,32 @@ def _detection_tables(states, survival: float):
     state i in receiver basis ``BASES[b]``.
 
     The amplitudes are one product of the states' stacked amplitude arrays
-    A with the cached rotation matrices R of both bases, rotated amplitudes
-    below ``EPS_AMP`` dropped as a Fock vector drops them.  Loss and
-    detector efficiency commute with the rotation (both act photon-wise and
-    isotropically): the probabilities are |A·Rᵀ|² times the cached
-    thinning matrix.
+    A (or ``states`` as that matrix) with the cached rotation matrices R of
+    both bases, rotated amplitudes below ``EPS_AMP`` dropped as a Fock
+    vector drops them.  Loss and detector efficiency commute with the
+    rotation (both act photon-wise and isotropically): the probabilities
+    are |A·Rᵀ|² times the cached thinning matrix.
     """
     angles = [MEASUREMENT_ANGLE[b] for b in BASES]
     r = np.concatenate([rotation_matrix(math.cos(t), math.sin(t)) for t in angles])
     _, _, detected = pattern_index(2)
-    a = np.array([s.array for s in states])
+    a = states if isinstance(states, np.ndarray) else np.array([s.array for s in states])
     amps = (a @ r.T).reshape(-1, len(detected))  # row 2·i + b
     amps[np.abs(amps) < EPS_AMP] = 0.0
     w = np.abs(amps) ** 2
     w /= w.sum(axis=1, keepdims=True)
     probs = w @ thinning_matrix(2, survival)
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+    if (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
         raise ParameterError("detected-count probabilities do not sum to 1")
     return detected, probs
+
+
+@cache
+def _click_kinds() -> np.ndarray:
+    """Read-only (patterns, 3) indicator of a lone V click, a lone H click
+    and both, per detected pattern in the order of :func:`_detection_tables`."""
+    v, h = (pattern_index(2)[2] > 0).T
+    return _frozen(np.array([v & ~h, h & ~v, v & h], dtype=np.int64).T)
 
 
 @cache
@@ -366,7 +374,8 @@ def run_protocol_monte_carlo(
 
     # stage 1: pulses per sent table (receiver's basis 1/2 each), the last
     # category the pulses the sender does not accept
-    p_table = np.append(np.repeat(model.send_probability / 2, 2), 0.0)
+    p_table = np.zeros(2 * len(model.send_probability) + 1)
+    p_table[:-1:2] = p_table[1:-1:2] = model.send_probability / 2
     n_table = rng.multinomial(config.n_pulses, p_table)[:-1]
     accepted_n = int(n_table.sum())
 
@@ -388,18 +397,17 @@ def run_protocol_monte_carlo(
     # (about n·2**-53 pulses) to its last category; a zero column takes it
     # over to each table's last possible pattern, so an impossible pattern
     # never occurs
-    patterns, probs = _detection_tables(received.ensemble.states, survival)
-    counts = rng.multinomial(n_table, np.pad(probs, ((0, 0), (0, 1))))
+    _, probs = _detection_tables(received.ensemble.matrix, survival)
+    p_pattern = np.zeros((len(probs), probs.shape[1] + 1))
+    p_pattern[:, :-1] = probs
+    counts = rng.multinomial(n_table, p_pattern)
     row = np.arange(len(counts))
     last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
     counts[row, last] += counts[:, -1]
-    counts = counts[:, :-1]
 
     # a lone V click reads bit 0, a lone H click bit 1; a pulse is sifted
     # when the receiver's basis is the sender's
-    clicks_v, clicks_h = patterns[:, 0] > 0, patterns[:, 1] > 0
-    v_only = counts[:, clicks_v & ~clicks_h].sum(axis=1)
-    h_only = counts[:, clicks_h & ~clicks_v].sum(axis=1)
+    v_only, h_only, both = (counts[:, :-1] @ _click_kinds()).T
     label = received.labels[row // 2]
     match = (label >> 1) == row % 2
     detections = int(v_only.sum() + h_only.sum())
@@ -415,7 +423,7 @@ def run_protocol_monte_carlo(
         sifted_bits=sifted,
         sifted_errors=errors,
         qber=errors / sifted if sifted else 0.0,
-        double_clicks=int(counts[:, clicks_v & clicks_h].sum()),
+        double_clicks=int(both.sum()),
         eve_conclusive_count=eve_conclusive,
         eve_known_fraction_of_sifted=(
             1.0 if sifted and conclusive_probs is not None else 0.0

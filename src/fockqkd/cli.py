@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from functools import lru_cache
 from typing import Any, Sequence
 
@@ -398,7 +398,8 @@ def _cmd_simulate(settings: dict[str, Any], stream) -> int:
         "seed": config.seed,
         "attack": settings["attack"],
     }
-    doc = {"config": echo, "report": asdict(report)}
+    report_fields = {f.name: getattr(report, f.name) for f in fields(report)}  # no copies
+    doc = {"config": echo, "report": report_fields}
     stream.write(json.dumps(doc, sort_keys=True, indent=2))
     stream.write("\n")
     return 0

@@ -23,11 +23,11 @@ span, never in the full Fock space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from fockqkd.fock import DimensionMismatch, FockVector, Pattern, pattern_index
+from fockqkd.fock import DimensionMismatch, FockVector, Pattern, _frozen, pattern_index
 
 PSD_TOL = 1e-10
 # The one rank rule, of the USD refusal and of ``states``: a Gram eigenvalue
@@ -50,10 +50,12 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """A discrimination problem instance: unit states with prior weights."""
+    """A discrimination problem instance: unit states with prior weights,
+    and the read-only (states, patterns) ``matrix`` of their amplitudes."""
 
     states: tuple[FockVector, ...]
     priors: tuple[float, ...]
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __init__(self, states, priors=None):
         states = tuple(states)
@@ -61,8 +63,8 @@ class StateEnsemble:
             raise ValueError("ensemble must contain at least one state")
         if any(s.mode_count != states[0].mode_count for s in states):
             raise DimensionMismatch("ensemble states must share mode_count")
-        amps = np.array([s.array for s in states]).view(float)
-        if np.any(np.abs(np.sqrt(np.square(amps).sum(axis=1)) - 1.0) > 1e-10):
+        matrix = _frozen(np.array([s.array for s in states]))
+        if (np.abs(np.sqrt(np.square(matrix.view(float)).sum(axis=1)) - 1) > 1e-10).any():
             raise ValueError("ensemble states must have unit norm")
         if priors is None:
             priors = (1.0 / len(states),) * len(states)
@@ -75,6 +77,7 @@ class StateEnsemble:
             raise ValueError("priors must sum to 1")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "matrix", matrix)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -102,9 +105,13 @@ class UsdPovm:
 
 
 def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
-    """Stack the states' amplitude arrays into rows and drop the columns no
-    state holds: the patterns kept, in order, and the (states, kept) matrix."""
-    a = np.array([s.array for s in states])
+    """Stack the states' amplitude arrays into rows (or read an ensemble's
+    ``matrix``) and drop the columns no state holds: the patterns kept, in
+    order, and the (states, kept) matrix."""
+    if isinstance(states, StateEnsemble):
+        states, a = states.states, states.matrix
+    else:
+        a = np.array([s.array for s in states])
     cols = np.flatnonzero(a.any(axis=0))
     pats = pattern_index(states[0].mode_count)[0]
     return tuple(pats[k] for k in cols), a[:, cols]
@@ -113,7 +120,7 @@ def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
 def gram(ensemble: StateEnsemble) -> np.ndarray:
     """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states, checked
     Hermitian and positive semidefinite."""
-    _, a = ambient_matrix(ensemble.states)
+    _, a = ambient_matrix(ensemble)
     g = a.conj() @ a.T
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise ConsistencyError("gram matrix is not Hermitian")
@@ -135,7 +142,7 @@ def numerical_rank(g: np.ndarray, tol: float = SINGULAR_TOL) -> int:
 def span_dimension(ensemble: StateEnsemble) -> int:
     """Span dimension by the USD refusal's rule, from the same SVD of the
     ambient matrix (see :func:`_dual_frame`)."""
-    _, a = ambient_matrix(ensemble.states)
+    _, a = ambient_matrix(ensemble)
     return _rank(np.linalg.svd(a, full_matrices=False)[1] ** 2, SINGULAR_TOL)
 
 
@@ -145,7 +152,7 @@ def _dual_frame(ensemble: StateEnsemble):
     states' coordinates U·S in it and the reciprocal states' U/S, with
     <psi~_i|psi_j> = delta_ij.  A linearly dependent ensemble raises
     NotDiscriminable."""
-    _, a = ambient_matrix(ensemble.states)
+    _, a = ambient_matrix(ensemble)
     u, svals, vh = np.linalg.svd(a, full_matrices=False)
     r = _rank(svals**2, SINGULAR_TOL)
     if r < len(ensemble):

@@ -258,7 +258,7 @@ def normalize_rows(mode_count: int, rows) -> list[tuple[FockVector, float]]:
     dropped first."""
     rows = _clean(_finite(np.array(rows, dtype=complex)))
     nsq = _norms_sq(rows)
-    if np.any(np.sqrt(nsq) <= EPS_NORM):
+    if (np.sqrt(nsq) <= EPS_NORM).any():
         raise NearZeroVector("cannot normalize a numerically zero vector")
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     size, root = np.abs(lead), np.sqrt(nsq)
@@ -429,12 +429,15 @@ def binomial_thinning(counts: Pattern, keep: float) -> list[tuple[Pattern, float
 def thinning_matrix(mode_count: int, keep: float) -> np.ndarray:
     """:func:`binomial_thinning` on the index as a read-only matrix: entry
     (true, kept) is the probability that pattern ``true`` thins to ``kept``."""
+    if not 0.0 <= keep <= 1.0:
+        raise FockError(f"survival probability {keep} outside [0, 1]")
     table = np.zeros((N_MAX + 1, N_MAX + 1))  # (n, d): d of n photons kept
     for n in range(N_MAX + 1):
-        for (d,), prob in binomial_thinning((n,), keep):
-            table[n, d] = prob
-    counts = pattern_index(mode_count)[2]
-    return _frozen(np.prod(table[counts[:, None, :], counts[None, :, :]], axis=-1))
+        for d in range(n + 1):  # binomial_thinning's expression
+            table[n, d] = math.comb(n, d) * keep**d * (1 - keep) ** (n - d)
+    c = pattern_index(mode_count)[2]  # one gather per mode, multiplied in mode order
+    gathers = (table[c[:, m, None], c[None, :, m]] for m in range(mode_count))
+    return _frozen(math.prod(gathers))
 
 
 def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:

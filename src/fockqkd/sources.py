@@ -25,16 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from fockqkd.discrimination import NotDiscriminable, StateEnsemble, usd_povm_equal
 from fockqkd.fock import (
+    _CACHED,
     FockVector,
     N_MAX,
     Pattern,
     WeightedState,
+    _clean,
+    _frozen,
     count_branches,
     normalize_rows,
     pattern_index,
@@ -95,8 +98,10 @@ class SourceParams:
             raise ParameterError(f"unknown source kind {self.kind!r}")
         if not 0.0 < self.amplitude < 1.0:
             raise ParameterError("amplitude must lie strictly inside (0, 1)")
-        if self.expansion_order not in (1, 2):
-            raise ParameterError("expansion_order must be 1 or 2")
+        order = self.expansion_order  # no bool or float: True and 2.0 equal 1 and 2
+        integer = isinstance(order, (int, np.integer)) and type(order) is not bool
+        if not (integer and order in (1, 2)):
+            raise ParameterError("expansion_order must be the integer 1 or 2")
         if not 0.0 < self.alice_detector_efficiency <= 1.0:
             raise ParameterError("detector efficiency must lie in (0, 1]")
 
@@ -133,6 +138,16 @@ def _n_photon_polarized(n: int, uv: float, uh: float) -> dict[Pattern, float]:
     return terms
 
 
+@lru_cache(maxsize=_CACHED)
+def _polarized_ladder(terms: int, labels: tuple) -> np.ndarray:
+    """Read-only (terms, labels × patterns) matrix: row n holds, label after
+    label, the two-mode amplitudes of n photons polarized as that (basis,
+    bit), so ladder coefficients times it are the kets side by side."""
+    kets = [FockVector(2, _n_photon_polarized(n, *_POLARIZATION[label])).array.real
+            for n in range(terms) for label in labels]
+    return _frozen(np.reshape(kets, (terms, -1)))
+
+
 def wcp_state(
     params: SourceParams, basis: str, bit: int, exact_coherent: bool = False
 ) -> ModifiedQubit:
@@ -155,23 +170,17 @@ def _wcp_states(params, labels, exact_coherent=False) -> list[ModifiedQubit]:
         raise ParameterError("wcp_state requires a wcp source")
     for basis, bit in labels:
         _check_basis_bit(basis, bit)
-    alpha = params.amplitude
+    alpha, order = params.amplitude, params.expansion_order
     if exact_coherent:
         coeffs = [
             math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
             for n in range(N_MAX + 1)
         ]
     else:
-        coeffs = [1.0 - alpha**2 / 2.0, alpha]
-        if params.expansion_order == 2:
-            coeffs.append(alpha**2 / SQ2)
-    position = pattern_index(2)[1]
-    rows = np.zeros((len(labels), len(position)), dtype=complex)
-    for row, label in zip(rows, labels):
-        for n, c in enumerate(coeffs):
-            for pattern, a in _n_photon_polarized(n, *_POLARIZATION[label]).items():
-                row[position[pattern]] = c * a
-    units = normalize_rows(2, rows)
+        coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: order + 1]
+    # each entry has one nonzero term, so it is c * a as an entry-wise loop gives it
+    rows = np.array(coeffs) @ _polarized_ladder(len(coeffs), tuple(labels))
+    units = normalize_rows(2, rows.reshape(len(labels), -1))
     return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(labels, units)]
 
 
@@ -185,33 +194,24 @@ def pdc_modified_singlet(params: SourceParams) -> FockVector:
     """
     if params.kind != PDC:
         raise ParameterError("pdc_modified_singlet requires a pdc source")
-    chi = params.amplitude
-    half = chi / 2.0
-    quarter = chi**2 / 4.0
-    terms: dict[Pattern, float] = {(0, 0, 0, 0): 1.0 - chi**2 / 2.0}
-    # single-pair bracket: the two photons of a pair split across the
-    # arms (antisymmetric combination) or bunch into one arm
-    for pattern, sign in {
-        (0, 1, 1, 0): +1.0,
-        (1, 1, 0, 0): +1.0,
-        (0, 0, 1, 1): -1.0,
-        (1, 0, 0, 1): -1.0,
-    }.items():
-        terms[pattern] = sign * half
-    if params.expansion_order == 2:
-        for pattern, factor in {
-            (0, 2, 2, 0): +1.0,
-            (2, 2, 0, 0): +1.0,
-            (0, 0, 2, 2): +1.0,
-            (2, 0, 0, 2): +1.0,
-            (1, 1, 1, 1): -2.0,
-            (1, 0, 1, 2): +SQ2,
-            (0, 1, 2, 1): -SQ2,
-            (1, 2, 1, 0): +SQ2,
-            (2, 1, 0, 1): -SQ2,
-        }.items():
-            terms[pattern] = factor * quarter
-    return FockVector.from_terms(4, terms)
+    chi, order = params.amplitude, params.expansion_order
+    coeffs = [1.0 - chi**2 / 2.0, chi / 2.0, chi**2 / 4.0][: order + 1]
+    # one nonzero term per entry, as in _wcp_states
+    return FockVector._of(4, _clean(coeffs @ _pair_brackets()[: order + 1] + 0j))
+
+
+@lru_cache(maxsize=_CACHED)
+def _pair_brackets() -> np.ndarray:
+    """Read-only rows that :func:`pdc_modified_singlet` scales: the vacuum,
+    the single-pair bracket (the two photons of a pair split across the
+    arms, antisymmetric, or bunch into one arm) and the second-order one."""
+    return _frozen(np.array([FockVector(4, bracket).array.real for bracket in (
+        {(0, 0, 0, 0): 1.0},
+        {(0, 1, 1, 0): +1.0, (1, 1, 0, 0): +1.0, (0, 0, 1, 1): -1.0, (1, 0, 0, 1): -1.0},
+        {(0, 2, 2, 0): +1.0, (2, 2, 0, 0): +1.0, (0, 0, 2, 2): +1.0, (2, 0, 0, 2): +1.0,
+         (1, 1, 1, 1): -2.0, (1, 0, 1, 2): +SQ2, (0, 1, 2, 1): -SQ2, (1, 2, 1, 0): +SQ2,
+         (2, 1, 0, 1): -SQ2},
+    )]))
 
 
 def alice_measure(singlet: FockVector, basis: str, params: SourceParams):
@@ -255,11 +255,10 @@ def ideal_signal_states() -> list[ModifiedQubit]:
 # ---------------------------------------------------- source analysis
 
 
-def _total_photon_distribution(states) -> np.ndarray:
-    """Row i: the photon-number distribution of ``states[i]``."""
-    a = np.array([s.array for s in states])
+def _total_photon_distribution(a: np.ndarray, mode_count: int) -> np.ndarray:
+    """Row i: the photon-number distribution of amplitude row ``a[i]``."""
     bins = np.arange(len(a))[:, None] * (N_MAX + 1)  # one bincount, row by row
-    bins = bins + pattern_index(states[0].mode_count)[2].sum(axis=1)
+    bins = bins + pattern_index(mode_count)[2].sum(axis=1)
     probs = np.bincount(bins.ravel(), (np.abs(a) ** 2).ravel(), len(a) * (N_MAX + 1))
     probs = probs.reshape(len(a), N_MAX + 1)
     return probs / probs.sum(axis=1, keepdims=True)
@@ -312,8 +311,9 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
     Weak pulse, or an explicit catalog such as :func:`ideal_signal_states`
     holding each (basis, bit) exactly once in any order: the four states
     with equal priors, labelled from their entries, every pulse sent as
-    prepared.  The four share one photon-number distribution
-    (polarization does not change photon number), read from the first.
+    prepared.  The four must share one photon-number distribution to
+    1e-12 (polarization does not change photon number; else
+    ParameterError), read from the first.
     Pair source: the nonzero entries of each basis's :func:`alice_measure`
     table, in row-major order, are its heralding branches; the one
     acceptance rule, ``SENDER_BIT_FOR_DETECTED`` as an array lookup on the
@@ -330,10 +330,12 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
         labels = np.array([_LABEL.get((mq.basis, mq.bit), -1) for mq in catalog])
         if sorted(labels.tolist()) != [0, 1, 2, 3]:
             raise ParameterError("signal catalog must hold each (basis, bit) once")
-        states = [mq.state for mq in catalog]
-        dist = _total_photon_distribution(states[:1])[0]
-        return SourceModel(params, StateEnsemble(states), labels, np.ones(4),
-                           np.full(4, 0.25), (), dist, dist)
+        ensemble = StateEnsemble([mq.state for mq in catalog])
+        dist = _total_photon_distribution(ensemble.matrix, ensemble.states[0].mode_count)
+        if np.abs(dist - dist[0]).max() > 1e-12:
+            raise ParameterError("catalog states differ in photon-number distribution")
+        return SourceModel(params, ensemble, labels, np.ones(4), np.full(4, 0.25), (),
+                           dist[0], dist[0])
     singlet = pdc_modified_singlet(source)
     detected = pattern_index(2)[0]
     bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in detected])
@@ -352,11 +354,11 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
     total_w = sum(w.tolist())
     if total_w == 0.0:
         raise ParameterError("pair source has no accepted branches")
-    dist = (w[:, None] * _total_photon_distribution(states)).sum(axis=0)
     ensemble = StateEnsemble(states, w / w.sum())
+    dist = (w[:, None] * _total_photon_distribution(ensemble.matrix, 2)).sum(axis=0)
     return SourceModel(source, ensemble, np.concatenate(labels), w, np.concatenate(send),
                        tuple(heralding), dist / total_w,
-                       _total_photon_distribution([singlet])[0])
+                       _total_photon_distribution(singlet.array[None], 4)[0])
 
 
 def pdc_accepted_branches(

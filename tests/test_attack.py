@@ -357,6 +357,17 @@ def test_catalog_must_hold_each_label_once():
         analyze([p0, p0, x0, x1])
 
 
+def test_catalog_states_must_share_one_photon_number_distribution():
+    # read from the first state alone, these gave honest yields of 0.00504
+    # and 0.142 at t = 0.5, where a 1M-pulse run of either reads 0.072
+    weak, strong = sources_mod.signal_states(wcp(0.1)), sources_mod.signal_states(wcp(0.5))
+    for catalog in (weak[:2] + strong[2:], strong[:2] + weak[2:]):
+        with pytest.raises(ParameterError, match="photon-number distribution"):
+            analyze(catalog)
+        with pytest.raises(ParameterError):
+            honest_yield(catalog, ChannelModel(0.5))
+
+
 def test_attacked_runs_analyse_the_ideal_catalog_once(monkeypatch):
     analysed = []
     real = attack_mod.analyze

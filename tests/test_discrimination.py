@@ -56,6 +56,17 @@ def pdc_ensemble(chi, eta=1.0):
     return analyze(params).ensemble
 
 
+def test_ensemble_matrix_is_its_stacked_states_read_only():
+    for ens in (wcp_ensemble(0.3), pdc_ensemble(0.1, eta=0.8)):
+        stacked = np.array([s.array for s in ens.states])
+        assert ens.matrix.shape == stacked.shape
+        assert ens.matrix.tobytes() == stacked.tobytes()
+        with pytest.raises(ValueError):
+            ens.matrix[0, 0] = 0.0
+    # equality reads the states and priors alone
+    assert wcp_ensemble(0.3) == wcp_ensemble(0.3) != wcp_ensemble(0.2)
+
+
 def two_states_with_overlap(s):
     """Unit pair with real overlap s, in the single-photon span."""
     psi0 = FockVector.from_terms(2, {(1, 0): 1.0})

@@ -6,6 +6,7 @@ exponential of the two-mode rotation generator, on two modes and on the
 sender's two of four), so the two routes share no code.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -565,6 +566,20 @@ def test_thinning_matrix_rows_are_the_binomial_thinning(modes, keep):
         assert row == dict(binomial_thinning(counts, keep))
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_thinning_matrix_is_binomial_thinning_bit_for_bit(modes):
+    # the same scalar expression and the same order of the per-mode product,
+    # also where keep**d underflows or 1 - keep rounds
+    pats, position, _ = pattern_index(modes)
+    keeps = [0.0, 1.0, 1e-300, 1 - 1e-16, *np.random.default_rng(modes).uniform(0, 1, 12)]
+    for keep in map(float, keeps):
+        want = np.zeros((len(pats), len(pats)))
+        for k, counts in enumerate(pats):
+            for kept, prob in binomial_thinning(counts, keep):
+                want[k, position[kept]] = prob
+        assert thinning_matrix(modes, keep).tobytes() == want.tobytes()
+
+
 def test_normalize_rows_is_normalize_row_by_row():
     rng = np.random.default_rng(43)
     states = [random_state(rng, mode_count=3, n_terms=6) for _ in range(12)]
@@ -573,14 +588,23 @@ def test_normalize_rows_is_normalize_row_by_row():
         normalize_rows(2, [FockVector.basis((1, 0)).array, np.zeros(28)])
 
 
-_KERNELS = ("pattern_index", "rotation_matrix", "thinning_matrix", "_count_groups")
+_KERNELS = (
+    ("fock", "pattern_index"),
+    ("fock", "rotation_matrix"),
+    ("fock", "thinning_matrix"),
+    ("fock", "_count_groups"),
+    ("sources", "_polarized_ladder"),
+    ("sources", "_pair_brackets"),
+    ("attack", "_click_kinds"),
+)
 
 
 def test_kernels_are_built_on_first_use_in_bounded_caches():
     # importing the package builds no kernel; every kernel cache is bounded
     code = (
-        "import fockqkd.fock as f; "
-        f"print([getattr(f, k).cache_info().currsize for k in {_KERNELS!r}])"
+        "import importlib; "
+        "print([getattr(importlib.import_module('fockqkd.' + m), k).cache_info().currsize"
+        f" for m, k in {_KERNELS!r}])"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fock_mod.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -590,9 +614,11 @@ def test_kernels_are_built_on_first_use_in_bounded_caches():
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 0]\n")
-    for name in _KERNELS:
-        assert getattr(fock_mod, name).cache_info().maxsize <= 16
+    assert (proc.returncode, proc.stdout) == (0, f"{[0] * len(_KERNELS)}\n")
+    for module, name in _KERNELS:
+        kernel = getattr(sys.modules[f"fockqkd.{module}"], name)
+        # a kernel of no argument holds one entry
+        assert not inspect.signature(kernel).parameters or kernel.cache_info().maxsize <= 16
 
 
 # ------------------------------------------------- binomial thinning
@@ -612,6 +638,8 @@ def test_thinning_small_case_by_hand():
 def test_thinning_rejects_bad_survival(keep):
     with pytest.raises(FockError):
         binomial_thinning((1, 1), keep)
+    with pytest.raises(FockError):
+        thinning_matrix(2, keep)
 
 
 _counts = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple)

@@ -19,7 +19,15 @@ import pytest
 
 import fockqkd.sources
 from fockqkd.attack import analyze
-from fockqkd.fock import FockVector, inner_product, normalize, pattern_index, rotate_modes
+from fockqkd.fock import (
+    N_MAX,
+    FockVector,
+    inner_product,
+    normalize,
+    normalize_rows,
+    pattern_index,
+    rotate_modes,
+)
 from fockqkd.sources import (
     BASES,
     SENDER_BIT_FOR_DETECTED,
@@ -165,6 +173,36 @@ def test_wcp_exact_coherent_ladder():
     assert mean == pytest.approx(alpha**2, abs=1e-8)
 
 
+def entry_by_entry_kets(coeffs, labels):
+    """Un-normalized kets of ``labels``, each amplitude c * a filled in one
+    entry at a time from the n-photon polarized amplitudes."""
+    position = pattern_index(2)[1]
+    rows = np.zeros((len(labels), len(position)), dtype=complex)
+    for row, label in zip(rows, labels):
+        for n, c in enumerate(coeffs):
+            for pattern, a in fockqkd.sources._n_photon_polarized(
+                n, *fockqkd.sources._POLARIZATION[label]
+            ).items():
+                row[position[pattern]] = c * a
+    return [unit.array.tobytes() for unit, _ in normalize_rows(2, rows)]
+
+
+@pytest.mark.parametrize("alpha", [1e-160, 1e-9, 0.01, 0.3162, 0.9, 0.999999])
+def test_wcp_kets_are_the_entry_by_entry_expansion_bit_for_bit(alpha):
+    labels = [(basis, bit) for basis in BASES for bit in (0, 1)]
+    for order in (1, 2):
+        coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: order + 1]
+        kets = [mq.state.array.tobytes() for mq in signal_states(wcp_params(alpha, order))]
+        assert kets == entry_by_entry_kets(coeffs, labels)
+    coeffs = [
+        math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
+        for n in range(N_MAX + 1)
+    ]
+    for label in labels:
+        ket = wcp_state(wcp_params(alpha), *label, exact_coherent=True).state
+        assert [ket.array.tobytes()] == entry_by_entry_kets(coeffs, [label])
+
+
 def test_wcp_catalog_is_rank_four():
     states = signal_states(wcp_params(math.sqrt(0.1)))
     patterns = sorted({p for mq in states for p, _ in mq.state.items()})
@@ -206,6 +244,15 @@ def test_pdc_singlet_matches_reference_expansion(chi):
     v = pdc_modified_singlet(pdc_params(chi))
     assert_same_terms(v, expected_singlet_terms(chi), atol=1e-15)
     assert v.norm_sq() == pytest.approx(1.0 + 1.25 * chi**4, rel=1e-12)
+
+
+@pytest.mark.parametrize("chi", [1e-9, 0.01, 0.1, 0.3, 0.999999])
+@pytest.mark.parametrize("order", [1, 2])
+def test_pdc_singlet_is_the_term_by_term_expansion_bit_for_bit(chi, order):
+    # each hand-expanded amplitude is one product, as each bracket entry is
+    want = FockVector(4, expected_singlet_terms(chi, order=order))
+    assert pdc_modified_singlet(pdc_params(chi, order=order)).array.tobytes() == (
+        want.array.tobytes())
 
 
 def test_pdc_singlet_first_order():
@@ -433,6 +480,11 @@ def test_parameter_validation():
         SourceParams(kind="wcp", amplitude=1.0)
     with pytest.raises(ParameterError):
         SourceParams(kind="wcp", amplitude=0.1, expansion_order=3)
+    # True and 2.0 compare equal to 1 and 2 but are not orders
+    for order in (True, False, 2.0, 1.0, "2", None, 0, -1):
+        with pytest.raises(ParameterError, match="expansion_order"):
+            SourceParams(kind="wcp", amplitude=0.1, expansion_order=order)
+    assert SourceParams(kind="wcp", amplitude=0.1, expansion_order=np.int64(1))
     with pytest.raises(ParameterError):
         SourceParams(kind="pdc", amplitude=0.1, alice_detector_efficiency=0.0)
     with pytest.raises(ParameterError):

@@ -37,6 +37,7 @@ from fockqkd.fock import EPS_AMP, _frozen, pattern_index, rotation_matrix, thinn
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
+    PDC,
     ParameterError,
     SourceModel,
     SourceParams,
@@ -225,7 +226,7 @@ def multiphoton_stats(source: SourceParams | SourceModel) -> PhotonStats:
     receiver-arm statistics attached as ``accepted``.
     """
     model = analyze(source)
-    if not model.heralding:
+    if model.source is None or model.source.kind != PDC:
         return photon_stats_from_distribution(model.photon_distribution)
     raw = model.emitted
     if float(raw[1::2].sum()) > 1e-14:
@@ -301,30 +302,28 @@ def critical_transmission(
 # ------------------------------------------------------- Monte Carlo
 
 
-def _detection_tables(states, survival: float):
-    """Detected patterns (m, 2) and the (2·len(states), m) matrix of their
-    probabilities, patterns in lexicographic order; row 2·i + b is sent
+def _detection_tables(a: np.ndarray, survival: float) -> np.ndarray:
+    """The (2·len(a), patterns) matrix of detected-pattern probabilities of
+    the amplitude rows ``a`` (an ensemble's ``matrix``), patterns in the
+    lexicographic order of ``pattern_index(2)[0]``; row 2·i + b is sent
     state i in receiver basis ``BASES[b]``.
 
-    The amplitudes are one product of the states' stacked amplitude arrays
-    A (or ``states`` as that matrix) with the cached rotation matrices R of
-    both bases, rotated amplitudes below ``EPS_AMP`` dropped as a Fock
-    vector drops them.  Loss and detector efficiency commute with the
+    The amplitudes are one product of A with the cached rotation matrices
+    R of both bases, rotated amplitudes below ``EPS_AMP`` dropped as a
+    Fock vector drops them.  Loss and detector efficiency commute with the
     rotation (both act photon-wise and isotropically): the probabilities
     are |A·Rᵀ|² times the cached thinning matrix.
     """
     angles = [MEASUREMENT_ANGLE[b] for b in BASES]
     r = np.concatenate([rotation_matrix(math.cos(t), math.sin(t)) for t in angles])
-    _, _, detected = pattern_index(2)
-    a = states if isinstance(states, np.ndarray) else np.array([s.array for s in states])
-    amps = (a @ r.T).reshape(-1, len(detected))  # row 2·i + b
+    amps = (a @ r.T).reshape(2 * len(a), -1)  # row 2·i + b
     amps[np.abs(amps) < EPS_AMP] = 0.0
     w = np.abs(amps) ** 2
     w /= w.sum(axis=1, keepdims=True)
     probs = w @ thinning_matrix(2, survival)
     if (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
         raise ParameterError("detected-count probabilities do not sum to 1")
-    return detected, probs
+    return probs
 
 
 @cache
@@ -397,7 +396,7 @@ def run_protocol_monte_carlo(
     # (about n·2**-53 pulses) to its last category; a zero column takes it
     # over to each table's last possible pattern, so an impossible pattern
     # never occurs
-    _, probs = _detection_tables(received.ensemble.matrix, survival)
+    probs = _detection_tables(received.ensemble.matrix, survival)
     p_pattern = np.zeros((len(probs), probs.shape[1] + 1))
     p_pattern[:, :-1] = probs
     counts = rng.multinomial(n_table, p_pattern)

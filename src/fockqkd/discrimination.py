@@ -104,16 +104,12 @@ class UsdPovm:
     min_inconclusive_eigenvalue: float
 
 
-def ambient_matrix(states) -> tuple[tuple[Pattern, ...], np.ndarray]:
-    """Stack the states' amplitude arrays into rows (or read an ensemble's
-    ``matrix``) and drop the columns no state holds: the patterns kept, in
-    order, and the (states, kept) matrix."""
-    if isinstance(states, StateEnsemble):
-        states, a = states.states, states.matrix
-    else:
-        a = np.array([s.array for s in states])
+def ambient_matrix(ensemble: StateEnsemble) -> tuple[tuple[Pattern, ...], np.ndarray]:
+    """The ensemble's ``matrix`` without the columns no state holds: the
+    patterns kept, in order, and the (states, kept) matrix."""
+    a = ensemble.matrix
     cols = np.flatnonzero(a.any(axis=0))
-    pats = pattern_index(states[0].mode_count)[0]
+    pats = pattern_index(ensemble.states[0].mode_count)[0]
     return tuple(pats[k] for k in cols), a[:, cols]
 
 

@@ -139,12 +139,13 @@ def _n_photon_polarized(n: int, uv: float, uh: float) -> dict[Pattern, float]:
 
 
 @lru_cache(maxsize=_CACHED)
-def _polarized_ladder(terms: int, labels: tuple) -> np.ndarray:
+def _polarized_ladder(terms: int) -> np.ndarray:
     """Read-only (terms, labels × patterns) matrix: row n holds, label after
-    label, the two-mode amplitudes of n photons polarized as that (basis,
-    bit), so ladder coefficients times it are the kets side by side."""
+    label in ``_POLARIZATION`` order, the two-mode amplitudes of n photons
+    polarized as that (basis, bit), so ladder coefficients times it are the
+    four kets side by side."""
     kets = [FockVector(2, _n_photon_polarized(n, *_POLARIZATION[label])).array.real
-            for n in range(terms) for label in labels]
+            for n in range(terms) for label in _POLARIZATION]
     return _frozen(np.reshape(kets, (terms, -1)))
 
 
@@ -160,16 +161,15 @@ def wcp_state(
     Poissonian amplitude ladder up to ``N_MAX`` photons is kept
     instead — a sensitivity diagnostic, not the default model.
     """
-    return _wcp_states(params, [(basis, bit)], exact_coherent)[0]
+    _check_basis_bit(basis, bit)
+    return _wcp_states(params, exact_coherent)[_LABEL[(basis, bit)]]
 
 
-def _wcp_states(params, labels, exact_coherent=False) -> list[ModifiedQubit]:
-    """:func:`wcp_state` of each (basis, bit) in ``labels``, normalized in
-    one pass."""
+def _wcp_states(params, exact_coherent=False) -> list[ModifiedQubit]:
+    """:func:`wcp_state` of the four labels in ``_POLARIZATION`` order,
+    normalized in one pass, row by row."""
     if params.kind != WCP:
         raise ParameterError("wcp_state requires a wcp source")
-    for basis, bit in labels:
-        _check_basis_bit(basis, bit)
     alpha, order = params.amplitude, params.expansion_order
     if exact_coherent:
         coeffs = [
@@ -179,9 +179,9 @@ def _wcp_states(params, labels, exact_coherent=False) -> list[ModifiedQubit]:
     else:
         coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: order + 1]
     # each entry has one nonzero term, so it is c * a as an entry-wise loop gives it
-    rows = np.array(coeffs) @ _polarized_ladder(len(coeffs), tuple(labels))
-    units = normalize_rows(2, rows.reshape(len(labels), -1))
-    return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(labels, units)]
+    rows = np.array(coeffs) @ _polarized_ladder(len(coeffs))
+    units = normalize_rows(2, rows.reshape(len(_POLARIZATION), -1))
+    return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(_POLARIZATION, units)]
 
 
 def pdc_modified_singlet(params: SourceParams) -> FockVector:
@@ -244,7 +244,7 @@ def signal_states(params: SourceParams) -> list[ModifiedQubit]:
     The pair source's heralded ensemble comes from :func:`analyze`, which
     runs the sender measurement.
     """
-    return _wcp_states(params, [(basis, bit) for basis in BASES for bit in (0, 1)])
+    return _wcp_states(params)
 
 
 def ideal_signal_states() -> list[ModifiedQubit]:
@@ -271,13 +271,10 @@ class SourceModel:
     state i has label 2·basis + bit ``labels[i]``, is emitted with
     ``emission_probability[i]`` (its heralding branch weight, else 1) and
     sent on a pulse with ``send_probability[i]`` (the sender's basis 1/2,
-    then her bit 1/2 or her branch, normalised per basis).  ``heralding``
-    holds, per sender basis, the weight of every nonzero (true, detected)
-    entry of the sender's measurement table in row-major order and its
-    ensemble index (-1: not accepted); it is empty when every pulse is
-    sent as prepared.  ``photon_distribution`` is that of the receiver-
-    bound state (for the pair source, given acceptance), ``emitted`` that
-    of the whole emitted state.  The arrays are read-only.
+    then her bit 1/2 or her branch, normalised per basis).
+    ``photon_distribution`` is that of the receiver-bound state (for the
+    pair source, given acceptance), ``emitted`` that of the whole emitted
+    state.  The arrays are read-only.
     """
 
     source: SourceParams | None
@@ -285,13 +282,12 @@ class SourceModel:
     labels: np.ndarray
     emission_probability: np.ndarray
     send_probability: np.ndarray
-    heralding: tuple[tuple[np.ndarray, np.ndarray], ...]
     photon_distribution: np.ndarray
     emitted: np.ndarray
 
     def __post_init__(self) -> None:
         for arr in (self.labels, self.emission_probability, self.send_probability,
-                    self.photon_distribution, self.emitted, *sum(self.heralding, ())):
+                    self.photon_distribution, self.emitted):
             arr.setflags(write=False)
 
     @cached_property
@@ -334,30 +330,29 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
         dist = _total_photon_distribution(ensemble.matrix, ensemble.states[0].mode_count)
         if np.abs(dist - dist[0]).max() > 1e-12:
             raise ParameterError("catalog states differ in photon-number distribution")
-        return SourceModel(params, ensemble, labels, np.ones(4), np.full(4, 0.25), (),
+        return SourceModel(params, ensemble, labels, np.ones(4), np.full(4, 0.25),
                            dist[0], dist[0])
     singlet = pdc_modified_singlet(source)
     detected = pattern_index(2)[0]
     bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in detected])
-    states, labels, send, heralding = [], [], [], []
+    states, labels, branch_w, send = [], [], [], []
     for a, basis in enumerate(BASES):
         _, units, joint = alice_measure(singlet, basis, source)
         true, k = np.nonzero(joint)
         weights, bit = joint[true, k], bit_of[k]
         accepted = bit >= 0
-        index = np.where(accepted, len(states) + np.cumsum(accepted) - 1, -1)
-        heralding.append((weights, index))
+        branch_w.append(weights[accepted])
         send.append(0.5 * weights[accepted] / weights.sum())
         states += [units[i] for i in true[accepted]]
         labels.append(2 * a + bit[accepted])
-    w = np.concatenate([branch_w[index >= 0] for branch_w, index in heralding])
+    w = np.concatenate(branch_w)
     total_w = sum(w.tolist())
     if total_w == 0.0:
         raise ParameterError("pair source has no accepted branches")
     ensemble = StateEnsemble(states, w / w.sum())
     dist = (w[:, None] * _total_photon_distribution(ensemble.matrix, 2)).sum(axis=0)
     return SourceModel(source, ensemble, np.concatenate(labels), w, np.concatenate(send),
-                       tuple(heralding), dist / total_w,
+                       dist / total_w,
                        _total_photon_distribution(singlet.array[None], 4)[0])
 
 

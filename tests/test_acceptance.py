@@ -228,7 +228,7 @@ def _grid_search_two_state_q(ensemble: StateEnsemble, step: float = 2e-5) -> flo
     # rather than the library's SVD route)
     from fockqkd.discrimination import ambient_matrix
 
-    _, raw = ambient_matrix(ensemble.states)
+    _, raw = ambient_matrix(ensemble)
     q_basis, _ = np.linalg.qr(raw.T.conj())
     coords = raw @ q_basis.conj()
     g = coords @ coords.conj().T

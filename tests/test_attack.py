@@ -42,13 +42,16 @@ from fockqkd.attack import (
     yield_from_distribution,
 )
 from fockqkd.discrimination import ConsistencyError, usd_povm_equal
-from fockqkd.fock import binomial_thinning, rotate_modes
+from fockqkd.fock import binomial_thinning, pattern_index, rotate_modes
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
+    SENDER_BIT_FOR_DETECTED,
     ParameterError,
     SourceParams,
+    alice_measure,
     ideal_signal_states,
+    pdc_modified_singlet,
 )
 
 ALPHA_SQ_01 = math.sqrt(0.1)
@@ -62,6 +65,25 @@ def pdc(chi=0.1, order=2, eta=1.0):
     return SourceParams(
         kind="pdc", amplitude=chi, expansion_order=order, alice_detector_efficiency=eta
     )
+
+
+def _pair_branches(params):
+    """Label and send probability of each accepted branch of a pair source,
+    in the order of analyze's ensemble, read from alice_measure and
+    SENDER_BIT_FOR_DETECTED directly: the sender's basis (1/2), then the
+    branch weight normalised over that basis's table."""
+    detected = pattern_index(2)[0]
+    singlet = pdc_modified_singlet(params)
+    labels, send = [], []
+    for a, basis in enumerate(BASES):
+        _, _, joint = alice_measure(singlet, basis, params)
+        true, k = np.nonzero(joint)
+        weights = joint[true, k]
+        for w, c in zip(weights, k):
+            if detected[c] in SENDER_BIT_FOR_DETECTED:
+                labels.append(2 * a + SENDER_BIT_FOR_DETECTED[detected[c]])
+                send.append(0.5 * w / weights.sum())
+    return np.array(labels), np.array(send)
 
 
 # ----------------------------------------------------------- channel
@@ -272,9 +294,8 @@ def test_analysis_record_gives_the_same_numbers(source):
 
 def test_analysis_record_arrays_are_read_only():
     model = analyze(pdc(0.1, eta=0.8))
-    assert len(model.heralding) == 2
-    for arr in (model.labels, model.emission_probability, model.photon_distribution,
-                model.emitted, *model.heralding[0]):
+    for arr in (model.labels, model.emission_probability, model.send_probability,
+                model.photon_distribution, model.emitted):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -283,7 +304,6 @@ def test_analysis_of_the_ideal_catalog():
     model = analyze(ideal_signal_states())
     assert model.source is None
     assert list(model.labels) == [0, 1, 2, 3]
-    assert model.heralding == ()
     assert list(model.emission_probability) == [1.0] * 4
     assert model.ensemble.priors == (0.25,) * 4
     # four single-photon states in a two-dimensional span
@@ -325,10 +345,7 @@ def test_send_probability_of_each_state():
         assert analyze(source).send_probability.tolist() == [0.25] * 4
     model = analyze(pdc(0.3, eta=0.8))
     # the sender's basis (1/2), then her heralding branch, normalised per basis
-    expected = np.zeros(len(model.labels))
-    for weights, index in model.heralding:
-        accepted = index >= 0
-        expected[index[accepted]] = 0.5 * weights[accepted] / weights.sum()
+    _, expected = _pair_branches(pdc(0.3, eta=0.8))
     assert model.send_probability.tolist() == expected.tolist()
     with pytest.raises(ValueError):
         model.send_probability[0] = 0
@@ -703,35 +720,33 @@ _COUNT_FIELDS = ("alice_accepted", "bob_detections", "sifted_bits", "sifted_erro
 def _expected_counts(model, t, n, attack, eta_b):
     """Exact expected value of each SimReport count field over n pulses.
 
-    Built from the analysis record and the detection tables, never from the
-    sampler's tally: every entry of the detection matrix is expected
-    n·P(table)·p(entry) times, and each entry is sorted into the fields by
-    its detected pattern, the sender's label and the receiver's basis.
+    Built from the analysis record's ensemble, the sender's table (pair
+    source) and the detection tables, never from the sampler's tally: every
+    entry of the detection matrix is expected n·P(table)·p(entry) times,
+    and each entry is sorted into the fields by its detected pattern, the
+    sender's label and the receiver's basis.
     Every field counts at most one event per pulse, so each is binomial
     over n.
     """
     # probability per pulse sent of each ensemble state: the sender's basis
     # (1/2), then her bit (1/2) or her heralding branch, normalised per basis
-    if model.heralding:
-        p_state = np.zeros(len(model.labels))
-        for weights, index in model.heralding:
-            for w, i in zip(weights / weights.sum(), index):
-                if i >= 0:
-                    p_state[i] += 0.5 * w
+    if model.source is not None and model.source.kind == "pdc":
+        labels, p_state = _pair_branches(model.source)
     else:
-        p_state = np.full(4, 0.25)
+        labels, p_state = model.labels, np.full(4, 0.25)
     conclusive = model.conclusive if attack.kind == ATTACK_CONCLUSIVE else None
     if conclusive is None:
         states, survival = model.ensemble.states, t * eta_b
-        p_sent, label_of = p_state, model.labels
+        p_sent, label_of = p_state, labels
         eve = 0.0
     else:
         # only conclusive pulses go on, as the ideal state of their label
         states, survival = [mq.state for mq in ideal_signal_states()], eta_b
-        p_sent = np.bincount(model.labels, p_state * conclusive, minlength=4)
+        p_sent = np.bincount(labels, p_state * conclusive, minlength=4)
         label_of = np.arange(4)
         eve = n * float(p_sent.sum())
-    patterns, probs = attack_mod._detection_tables(states, survival)
+    patterns = pattern_index(2)[2]
+    probs = attack_mod._detection_tables(np.array([s.array for s in states]), survival)
     table, entry = np.nonzero(probs)
     expected = dict.fromkeys(_COUNT_FIELDS, 0.0)
     expected["alice_accepted"] = n * float(p_state.sum())
@@ -943,7 +958,8 @@ _SENT = {
 @pytest.mark.parametrize("sent", list(_SENT))
 def test_batched_tables_match_the_per_state_reference(sent, survival):
     states = _SENT[sent]()
-    patterns, probs = attack_mod._detection_tables(states, survival)
+    patterns = pattern_index(2)[2]
+    probs = attack_mod._detection_tables(np.array([s.array for s in states]), survival)
     assert probs.shape == (2 * len(states), len(patterns))
     assert np.all(probs.any(axis=1))
     for i, state in enumerate(states):

@@ -242,7 +242,7 @@ def check_povm_invariants(povm: UsdPovm, tol_cross=1e-10, tol_psd=1e-10):
     # zero cross-talk, on the span coordinates of the ensemble itself
     from fockqkd.discrimination import ambient_matrix
 
-    _, a = ambient_matrix(povm.ensemble.states)
+    _, a = ambient_matrix(povm.ensemble)
     coords = a @ povm.span_basis.conj().T
     for i, e in enumerate(povm.conclusive_elements):
         for j, c in enumerate(coords):

@@ -194,6 +194,9 @@ def test_wcp_kets_are_the_entry_by_entry_expansion_bit_for_bit(alpha):
         coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: order + 1]
         kets = [mq.state.array.tobytes() for mq in signal_states(wcp_params(alpha, order))]
         assert kets == entry_by_entry_kets(coeffs, labels)
+        for label in labels:
+            ket = wcp_state(wcp_params(alpha, order), *label).state
+            assert [ket.array.tobytes()] == entry_by_entry_kets(coeffs, [label])
     coeffs = [
         math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
         for n in range(N_MAX + 1)
@@ -398,14 +401,19 @@ def test_signal_states_is_the_weak_pulse_catalog():
 
 def _sender_table(params, basis):
     """alice_measure's table, each nonzero entry's (true, detected) count
-    patterns in row-major order, and analyze's heralding of that basis."""
-    true, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
-    pats = pattern_index(2)[0]
-    i, k = np.nonzero(joint)
-    entries = [(pats[true[r]], pats[c]) for r, c in zip(i, k)]
-    weights, index = analyze(params).heralding[BASES.index(basis)]
-    assert weights.tolist() == joint[i, k].tolist()
-    return states, joint, entries, index
+    patterns in row-major order, and its index in analyze's ensemble (-1:
+    not accepted), counted through SENDER_BIT_FOR_DETECTED directly: the
+    accepted entries of each basis in turn, in row-major order."""
+    singlet, pats, start = pdc_modified_singlet(params), pattern_index(2)[0], 0
+    for b in BASES:
+        true, states, joint = alice_measure(singlet, b, params)
+        i, k = np.nonzero(joint)
+        entries = [(pats[true[r]], pats[c]) for r, c in zip(i, k)]
+        accepted = np.array([d in SENDER_BIT_FOR_DETECTED for _, d in entries])
+        if b == basis:
+            index = np.where(accepted, start + np.cumsum(accepted) - 1, -1)
+            return states, joint, entries, index
+        start += int(accepted.sum())
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.5])

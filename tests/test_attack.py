@@ -46,13 +46,12 @@ from fockqkd.fock import binomial_thinning, pattern_index, rotate_modes
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
-    SENDER_BIT_FOR_DETECTED,
     ParameterError,
     SourceParams,
-    alice_measure,
     ideal_signal_states,
-    pdc_modified_singlet,
 )
+
+from sender_table import sender_table
 
 ALPHA_SQ_01 = math.sqrt(0.1)
 
@@ -65,25 +64,6 @@ def pdc(chi=0.1, order=2, eta=1.0):
     return SourceParams(
         kind="pdc", amplitude=chi, expansion_order=order, alice_detector_efficiency=eta
     )
-
-
-def _pair_branches(params):
-    """Label and send probability of each accepted branch of a pair source,
-    in the order of analyze's ensemble, read from alice_measure and
-    SENDER_BIT_FOR_DETECTED directly: the sender's basis (1/2), then the
-    branch weight normalised over that basis's table."""
-    detected = pattern_index(2)[0]
-    singlet = pdc_modified_singlet(params)
-    labels, send = [], []
-    for a, basis in enumerate(BASES):
-        _, _, joint = alice_measure(singlet, basis, params)
-        true, k = np.nonzero(joint)
-        weights = joint[true, k]
-        for w, c in zip(weights, k):
-            if detected[c] in SENDER_BIT_FOR_DETECTED:
-                labels.append(2 * a + SENDER_BIT_FOR_DETECTED[detected[c]])
-                send.append(0.5 * w / weights.sum())
-    return np.array(labels), np.array(send)
 
 
 # ----------------------------------------------------------- channel
@@ -345,8 +325,8 @@ def test_send_probability_of_each_state():
         assert analyze(source).send_probability.tolist() == [0.25] * 4
     model = analyze(pdc(0.3, eta=0.8))
     # the sender's basis (1/2), then her heralding branch, normalised per basis
-    _, expected = _pair_branches(pdc(0.3, eta=0.8))
-    assert model.send_probability.tolist() == expected.tolist()
+    expected = [e.send for e in sender_table(pdc(0.3, eta=0.8)) if e.index >= 0]
+    assert model.send_probability.tolist() == expected
     with pytest.raises(ValueError):
         model.send_probability[0] = 0
 
@@ -731,7 +711,9 @@ def _expected_counts(model, t, n, attack, eta_b):
     # probability per pulse sent of each ensemble state: the sender's basis
     # (1/2), then her bit (1/2) or her heralding branch, normalised per basis
     if model.source is not None and model.source.kind == "pdc":
-        labels, p_state = _pair_branches(model.source)
+        accepted = [e for e in sender_table(model.source) if e.index >= 0]
+        labels = np.array([e.label for e in accepted])
+        p_state = np.array([e.send for e in accepted])
     else:
         labels, p_state = model.labels, np.full(4, 0.25)
     conclusive = model.conclusive if attack.kind == ATTACK_CONCLUSIVE else None

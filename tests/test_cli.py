@@ -18,15 +18,10 @@ import fockqkd.fock as fock_mod
 import fockqkd.sources as sources_mod
 from fockqkd import cli
 from fockqkd.attack import eve_conclusive_rate, multiphoton_stats
-from fockqkd.discrimination import ConsistencyError
-from fockqkd.fock import pattern_index
-from fockqkd.sources import (
-    BASES,
-    SENDER_BIT_FOR_DETECTED,
-    SourceParams,
-    alice_measure,
-    pdc_modified_singlet,
-)
+from fockqkd.discrimination import PSD_TOL, ConsistencyError
+from fockqkd.sources import SourceParams
+
+from sender_table import sender_table
 
 HEADER = (
     "source,amplitude,order,eta_alice,eta_bob,p1,p_multi_cond,"
@@ -134,20 +129,12 @@ def test_states_prints_the_analysed_ensemble(capsys):
     rc, out, _ = run_cli(["states"] + flags, capsys)
     assert rc == 0
     params = SourceParams(kind="pdc", amplitude=0.1, alice_detector_efficiency=0.8)
-    # the accepted entries of the sender's table, basis by basis in row-major
-    # order, read through the acceptance dict directly
-    detected, branches = pattern_index(2)[0], []
-    for basis in BASES:
-        _, _, joint = alice_measure(pdc_modified_singlet(params), basis, params)
-        branches += [(basis + str(SENDER_BIT_FOR_DETECTED[detected[k]]), joint[i, k])
-                     for i, k in zip(*np.nonzero(joint))
-                     if detected[k] in SENDER_BIT_FOR_DETECTED]
+    accepted = [e for e in sender_table(params) if e.index >= 0]
     heads = re.findall(r"^# state (\S+)$", out, re.M)
-    assert heads == [head for head, _ in branches]
+    assert heads == [e.basis + str(e.label & 1) for e in accepted]
     assert len(heads) == 28
     emission = [float(x) for x in re.findall(r"^# emission_probability (\S+)$", out, re.M)]
-    branch_weights = [w for _, w in branches]
-    assert emission == pytest.approx(branch_weights, rel=1e-11)
+    assert emission == pytest.approx([e.weight for e in accepted], rel=1e-11)
     assert "# numerical rank: 8" in out
     rc, out, _ = run_cli(["usd"] + flags, capsys)
     assert "not discriminable (rank 8)" in out
@@ -746,7 +733,7 @@ _PINNED_OUTPUT = [
     (["usd", "--source", "wcp", "--alpha", "0.3", "--order", "1"], 0,
      "5a6f45800a68427d96ab22e02f121be44af12e1ffc662e1f7b64ac7a5d2fc7dd"),
     (["usd", "--source", "wcp", "--alpha", "0.3"], 0,
-     "cdb6f3fb96304e8d971346cbe1ce32f943b658da1b3132eaf1205f0a763628dc"),
+     "66d9936f5ac2f8dea33ec1f66cb3feffdd76a9124e82cbb4527e197e9a592bf4"),
     (["usd", "--source", "pdc", "--chi", "0.1"], 0,
      "5c83ff090dadd77d25be1114c06dd2f0f1441cb670e5e8dcd6c32a68f313aff5"),
     (["usd", "--source", "pdc", "--chi", "0.1", "--eta-alice", "0.8"], 0,
@@ -757,12 +744,8 @@ _PINNED_OUTPUT = [
      "0a717b9b52607d6c0c1bc2ad6299afe9988543bd316fc1fd1a41fd2a11535c8c"),
     (_THRESHOLD_WCP, 0,
      "f7130c7468f25cb6c7d789e1292d43d933018ea9d2841551873120c13e3283e0"),
-    (_THRESHOLD_WCP + ["--format", "jsonl"], 0,
-     "527fc4e6f0d861b59eeabe91f9e314b9f847874245102cfa1a99482a713ad5bd"),
     (_THRESHOLD_PDC, 0,
      "7affcf5fc8f079572728094e6ce6fdd2aff3b74a4e577dadcadd6e759d77e4ff"),
-    (_THRESHOLD_PDC + ["--format", "jsonl"], 0,
-     "2e7bdc7b2686b52445bd99ffbcd03a3c0ca3ab9d04269f01e245bd8b4ed863fd"),
     (["threshold", "--source", "pdc", "--chi", "0.1,0.2", "--eta-alice", "0"], 2,
      "527145c16e0ae4f687070628efe6b6ee0cb55523509373d487e29f7284a0dc16"),
     (["simulate", "--source", "wcp", "--alpha", "0.3", "--transmission", "0.5",
@@ -790,12 +773,38 @@ _PINNED_OUTPUT = [
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     """The sha256 of stdout and the exit code of ``usd``, ``threshold`` and
-    seeded ``simulate`` commands, so a refactor shows any changed byte.
+    seeded ``simulate`` commands, so a refactor shows any change in the
+    hashed output.
 
-    The ``simulate`` digests pin the numpy release, as ``_FROZEN_RUNS`` in
+    Only output that the platform's BLAS does not move is hashed.  The
+    ``usd`` certificate is rounding noise around zero, so its line is left
+    out and its value checked against ``PSD_TOL``; JSONL's full-precision
+    floats are checked against the CSV rows below; ``states`` is left out:
+    its 17-digit amplitudes pin the platform's complex ``abs``.  The
+    ``simulate`` digests pin the numpy release, as ``_FROZEN_RUNS`` in
     ``tests/test_attack.py`` does: the counts come from numpy's samplers.
-    ``states`` is left out: its 17-digit amplitudes pin the platform's
-    complex ``abs``.
     """
     rc, out, _ = run_cli(argv, capsys)
-    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    kept = []
+    for line in out.splitlines(keepends=True):
+        if line.startswith("certificate_min_inconclusive_eigenvalue "):
+            assert abs(float(line.split()[1])) <= PSD_TOL
+        else:
+            kept.append(line)
+    assert (rc, hashlib.sha256("".join(kept).encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("argv", [_THRESHOLD_WCP, _THRESHOLD_PDC], ids=["wcp", "pdc"])
+def test_threshold_jsonl_rows_are_the_pinned_csv_rows(capsys, argv):
+    # each JSONL value, written as the CSV writes it, is the CSV field
+    _, table, _ = run_cli(argv, capsys)
+    rc, out, _ = run_cli(argv + ["--format", "jsonl"], capsys)
+    assert rc == 0
+    header, *rows = table.splitlines()
+    fields = [
+        ["none" if row[c] is None
+         else str(row[c]) if isinstance(row[c], (str, int)) else cli._format_number(row[c])
+         for c in header.split(",")]
+        for row in map(json.loads, out.splitlines())
+    ]
+    assert fields == [row.split(",") for row in rows]

@@ -30,7 +30,6 @@ from fockqkd.fock import (
 )
 from fockqkd.sources import (
     BASES,
-    SENDER_BIT_FOR_DETECTED,
     ModifiedQubit,
     ParameterError,
     SourceParams,
@@ -41,6 +40,8 @@ from fockqkd.sources import (
     signal_states,
     wcp_state,
 )
+
+from sender_table import sender_table
 
 SQ2 = math.sqrt(2.0)
 
@@ -343,12 +344,10 @@ def test_pdc_qubit_first_order_is_ideal(basis, bit):
 
 
 def _reference_branches(params, basis):
-    """The accepted entries of the sender's table, read through the
-    acceptance dict directly: (bit, state, weight) in row-major order."""
-    _, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
-    detected = pattern_index(2)[0]
-    return [(SENDER_BIT_FOR_DETECTED[detected[k]], states[i], float(joint[i, k]))
-            for i, k in zip(*np.nonzero(joint)) if detected[k] in SENDER_BIT_FOR_DETECTED]
+    """The accepted entries of the sender's table: (bit, state, weight) in
+    row-major order."""
+    return [(e.label & 1, e.state, e.weight) for e in sender_table(params)
+            if e.basis == basis and e.index >= 0]
 
 
 @pytest.mark.parametrize("basis", BASES)
@@ -399,59 +398,38 @@ def test_signal_states_is_the_weak_pulse_catalog():
 # ------------------------------------------------------- alice_measure
 
 
-def _sender_table(params, basis):
-    """alice_measure's table, each nonzero entry's (true, detected) count
-    patterns in row-major order, and its index in analyze's ensemble (-1:
-    not accepted), counted through SENDER_BIT_FOR_DETECTED directly: the
-    accepted entries of each basis in turn, in row-major order."""
-    singlet, pats, start = pdc_modified_singlet(params), pattern_index(2)[0], 0
-    for b in BASES:
-        true, states, joint = alice_measure(singlet, b, params)
-        i, k = np.nonzero(joint)
-        entries = [(pats[true[r]], pats[c]) for r, c in zip(i, k)]
-        accepted = np.array([d in SENDER_BIT_FOR_DETECTED for _, d in entries])
-        if b == basis:
-            index = np.where(accepted, start + np.cumsum(accepted) - 1, -1)
-            return states, joint, entries, index
-        start += int(accepted.sum())
-
-
 @pytest.mark.parametrize("eta", [1.0, 0.5])
 @pytest.mark.parametrize("basis", ["+", "x"])
 def test_alice_measure_probabilities_sum_to_one(eta, basis):
     params = pdc_params(0.1, eta=eta)
-    states, joint, entries, index = _sender_table(params, basis)
+    _, states, joint = alice_measure(pdc_modified_singlet(params), basis, params)
     assert joint.shape == (len(states), len(pattern_index(2)[0]))
     assert joint.sum() == pytest.approx(1.0, abs=1e-10)
     model = analyze(params)
-    for (true_counts, detected), n in zip(entries, index):
+    for e in sender_table(params):
+        if e.basis != basis:
+            continue
         if eta == 1.0:
-            assert detected == true_counts
-        assert (n >= 0) == (detected in ((1, 0), (0, 1)))
-        if n >= 0:
-            assert model.labels[n] == 2 * BASES.index(basis) + (detected == (1, 0))
+            assert e.detected == e.true
+        assert (e.index >= 0) == (e.detected in ((1, 0), (0, 1)))
+        if e.index >= 0:
+            assert model.labels[e.index] == 2 * BASES.index(basis) + (e.detected == (1, 0))
 
 
 def test_alice_measure_inefficiency_creates_misread_branches():
-    params = pdc_params(0.1, eta=0.5)
-    _, _, entries, index = _sender_table(params, "+")
-    misread = [
-        true_counts for (true_counts, detected), n in zip(entries, index)
-        if n >= 0 and true_counts != detected
-    ]
+    table = [e for e in sender_table(pdc_params(0.1, eta=0.5)) if e.basis == "+"]
+    misread = [e.true for e in table if e.index >= 0 and e.true != e.detected]
     assert misread  # e.g. two photons at the sender, one seen
     assert (1, 1) in misread
     # vacuum can be *detected* but never accepted
-    vacuum = [n for (_, detected), n in zip(entries, index) if detected == (0, 0)]
+    vacuum = [e.index for e in table if e.detected == (0, 0)]
     assert vacuum and all(n == -1 for n in vacuum)
 
 
 def test_alice_measure_first_order_acceptance_probability():
     chi = 0.01
-    params = pdc_params(chi, order=1)
-    _, joint, entries, index = _sender_table(params, "+")
-    weights = joint[np.nonzero(joint)]
-    accepted = sum(w for w, n in zip(weights, index) if n >= 0)
+    table = sender_table(pdc_params(chi, order=1))
+    accepted = sum(e.weight for e in table if e.basis == "+" and e.index >= 0)
     assert accepted == pytest.approx((chi**2 / 2) / (1 + chi**4 / 4), rel=1e-12)
     assert accepted == pytest.approx(chi**2 / 2, rel=1e-7)
 

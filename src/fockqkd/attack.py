@@ -62,11 +62,6 @@ class ChannelModel:
         if not 0.0 <= self.transmission <= 1.0:
             raise ParameterError("transmission must lie in [0, 1]")
 
-    @property
-    def loss_db(self) -> float:
-        t = self.transmission
-        return math.inf if t == 0.0 else 10.0 * math.log10(1.0 / t)
-
     @classmethod
     def from_loss_db(cls, loss_db: float) -> "ChannelModel":
         if loss_db < 0:

@@ -10,8 +10,10 @@ Four subcommands cover the library's surface:
 All subcommands accept ``--config FILE`` pointing at a single JSON
 object; explicitly passed flags override config fields.  Exit codes:
 0 success, 1 computational failure, 2 usage or config error.  Sweep rows
-are emitted in grid order; all output is byte-deterministic for
-identical inputs.
+are emitted in grid order.  Identical inputs give identical bytes on one
+machine and numpy release; NEP 19 lets seeded ``simulate`` counts change
+across numpy releases.  Across BLAS kernels only the ``usd`` certificate,
+the last digits of JSONL floats and ``states`` amplitudes may move.
 """
 
 from __future__ import annotations

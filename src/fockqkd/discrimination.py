@@ -56,6 +56,7 @@ class StateEnsemble:
     states: tuple[FockVector, ...]
     priors: tuple[float, ...]
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
+    __hash__ = None  # FockVector defines __eq__ only, so its tuples cannot hash
 
     def __init__(self, states, priors=None):
         states = tuple(states)

@@ -150,11 +150,6 @@ class FockVector:
     ) -> "FockVector":
         return FockVector(mode_count, dict(terms))
 
-    @staticmethod
-    def basis(pattern: Iterable[int]) -> "FockVector":
-        pattern = tuple(pattern)
-        return FockVector(len(pattern), {pattern: 1.0})
-
     # -- inspection ---------------------------------------------------
 
     def items(self) -> Iterator[tuple[Pattern, complex]]:
@@ -176,14 +171,6 @@ class FockVector:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def mean_photon(self, mode: int) -> float:
-        """Expectation of the photon number in one mode (un-normalized:
-        divide by ``norm_sq`` for a state that is not unit norm)."""
-        if not 0 <= mode < self.mode_count:
-            raise DimensionMismatch(f"mode {mode} out of range")
-        counts = pattern_index(self.mode_count)[2]
-        return float(np.abs(self.array) ** 2 @ counts[:, mode])
 
     def dump_lines(self) -> list[str]:
         """Serialize as ``pattern TAB re TAB im`` lines, lex-sorted."""
@@ -405,35 +392,18 @@ def all_count_outcomes(
     ]
 
 
-def binomial_thinning(counts: Pattern, keep: float) -> list[tuple[Pattern, float]]:
-    """Surviving counts when each photon of ``counts`` is kept independently
-    with probability ``keep`` (loss, detector efficiency): mode m keeps d
-    photons with probability C(n_m, d) keep^d (1-keep)^(n_m-d).  Returns
-    (pattern, probability) pairs in lexicographic order without the
-    zero-probability patterns, so ``keep=1`` gives ``[(counts, 1.0)]``."""
-    if not 0.0 <= keep <= 1.0:
-        raise FockError(f"survival probability {keep} outside [0, 1]")
-    per_mode = [
-        [math.comb(n, d) * keep**d * (1 - keep) ** (n - d) for d in range(n + 1)]
-        for n in counts
-    ]
-    out = []
-    for pattern in product(*(range(n + 1) for n in counts)):
-        prob = math.prod(probs[d] for probs, d in zip(per_mode, pattern))
-        if prob != 0.0:
-            out.append((pattern, prob))
-    return out
-
-
 @lru_cache(maxsize=_CACHED)
 def thinning_matrix(mode_count: int, keep: float) -> np.ndarray:
-    """:func:`binomial_thinning` on the index as a read-only matrix: entry
-    (true, kept) is the probability that pattern ``true`` thins to ``kept``."""
+    """Binomial thinning on the index as a read-only matrix: each photon is
+    kept independently with probability ``keep`` (loss, detector
+    efficiency), so entry (true, kept) is the product over modes m of
+    C(n_m, d_m) keep^d_m (1-keep)^(n_m-d_m), the probability that pattern
+    ``true`` = n thins to ``kept`` = d."""
     if not 0.0 <= keep <= 1.0:
         raise FockError(f"survival probability {keep} outside [0, 1]")
     table = np.zeros((N_MAX + 1, N_MAX + 1))  # (n, d): d of n photons kept
     for n in range(N_MAX + 1):
-        for d in range(n + 1):  # binomial_thinning's expression
+        for d in range(n + 1):
             table[n, d] = math.comb(n, d) * keep**d * (1 - keep) ** (n - d)
     c = pattern_index(mode_count)[2]  # one gather per mode, multiplied in mode order
     gathers = (table[c[:, m, None], c[None, :, m]] for m in range(mode_count))
@@ -447,8 +417,8 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     turned with ``mode`` by cosine sqrt(t) and sine sqrt(1-t), and
     branch k is the outcome of counting k photons there (see
     :func:`count_branches`).  A pattern holding n photons in ``mode``
-    keeps n-k of them, its amplitude scaled by the square root of the
-    :func:`binomial_thinning` probability of keeping n-k with survival
+    keeps n-k of them, its amplitude scaled by the square root of
+    C(n, k) t^(n-k) (1-t)^k, the probability of keeping n-k with survival
     ``t``.  Branches come in increasing k; their probabilities are relative
     to the squared norm of ``v`` and sum to 1.  Branches with zero
     probability are omitted.

@@ -149,39 +149,11 @@ def _polarized_ladder(terms: int) -> np.ndarray:
     return _frozen(np.reshape(kets, (terms, -1)))
 
 
-def wcp_state(
-    params: SourceParams, basis: str, bit: int, exact_coherent: bool = False
-) -> ModifiedQubit:
-    """The weak-coherent-pulse signal state for (basis, bit).
-
-    By default the ket keeps the truncated expansion in the pulse
-    amplitude: vacuum coefficient 1 - alpha^2/2, one-photon coefficient
-    alpha, and (at order 2) two-photon coefficient alpha^2/sqrt(2), all
-    in the pulse's polarization mode.  With ``exact_coherent`` the full
-    Poissonian amplitude ladder up to ``N_MAX`` photons is kept
-    instead — a sensitivity diagnostic, not the default model.
-    """
+def wcp_state(params: SourceParams, basis: str, bit: int) -> ModifiedQubit:
+    """The weak-coherent-pulse signal state for (basis, bit): the row of
+    :func:`signal_states` for that label."""
     _check_basis_bit(basis, bit)
-    return _wcp_states(params, exact_coherent)[_LABEL[(basis, bit)]]
-
-
-def _wcp_states(params, exact_coherent=False) -> list[ModifiedQubit]:
-    """:func:`wcp_state` of the four labels in ``_POLARIZATION`` order,
-    normalized in one pass, row by row."""
-    if params.kind != WCP:
-        raise ParameterError("wcp_state requires a wcp source")
-    alpha, order = params.amplitude, params.expansion_order
-    if exact_coherent:
-        coeffs = [
-            math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
-            for n in range(N_MAX + 1)
-        ]
-    else:
-        coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: order + 1]
-    # each entry has one nonzero term, so it is c * a as an entry-wise loop gives it
-    rows = np.array(coeffs) @ _polarized_ladder(len(coeffs))
-    units = normalize_rows(2, rows.reshape(len(_POLARIZATION), -1))
-    return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(_POLARIZATION, units)]
+    return signal_states(params)[_LABEL[(basis, bit)]]
 
 
 def pdc_modified_singlet(params: SourceParams) -> FockVector:
@@ -196,7 +168,7 @@ def pdc_modified_singlet(params: SourceParams) -> FockVector:
         raise ParameterError("pdc_modified_singlet requires a pdc source")
     chi, order = params.amplitude, params.expansion_order
     coeffs = [1.0 - chi**2 / 2.0, chi / 2.0, chi**2 / 4.0][: order + 1]
-    # one nonzero term per entry, as in _wcp_states
+    # one nonzero term per entry, as in signal_states
     return FockVector._of(4, _clean(coeffs @ _pair_brackets()[: order + 1] + 0j))
 
 
@@ -239,12 +211,23 @@ def alice_measure(singlet: FockVector, basis: str, params: SourceParams):
 
 
 def signal_states(params: SourceParams) -> list[ModifiedQubit]:
-    """The weak pulse's four signal states in fixed order (+0, +1, x0, x1).
+    """The weak pulse's four signal states in fixed order (+0, +1, x0, x1),
+    normalized in one pass, row by row.
 
-    The pair source's heralded ensemble comes from :func:`analyze`, which
-    runs the sender measurement.
+    Each ket keeps the truncated expansion in the pulse amplitude: vacuum
+    coefficient 1 - alpha^2/2, one-photon coefficient alpha, and (at order
+    2) two-photon coefficient alpha^2/sqrt(2), all in the pulse's
+    polarization mode.  The pair source's heralded ensemble comes from
+    :func:`analyze`, which runs the sender measurement.
     """
-    return _wcp_states(params)
+    if params.kind != WCP:
+        raise ParameterError("wcp_state requires a wcp source")
+    alpha = params.amplitude
+    coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: params.expansion_order + 1]
+    # each entry has one nonzero term, so it is c * a as an entry-wise loop gives it
+    rows = np.array(coeffs) @ _polarized_ladder(len(coeffs))
+    units = normalize_rows(2, rows.reshape(len(_POLARIZATION), -1))
+    return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(_POLARIZATION, units)]
 
 
 def ideal_signal_states() -> list[ModifiedQubit]:

@@ -489,6 +489,34 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
     assert "config" in err
 
 
+def test_config_file_holding_an_array_exits_2(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps([{"alpha": 0.3}]))
+    rc, out, err = run_cli(["states", "--config", str(bad)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: config file must contain a single JSON object\n"
+
+
+def test_pair_source_without_accepted_branches_exits_2(capsys):
+    # at chi 1e-16 every pair term falls below EPS_AMP: only vacuum remains
+    rc, out, err = run_cli(["threshold", "--source", "pdc", "--chi", "1e-16",
+                            "--format", "jsonl"], capsys)
+    assert (rc, err) == (2, "error: every grid point failed\n")
+    assert json.loads(out) == {"error": "pair source has no accepted branches"}
+    rc, out, err = run_cli(["simulate", "--source", "pdc", "--chi", "1e-16"], capsys)
+    assert (rc, out, err) == (2, "", "error: pair source has no accepted branches\n")
+
+
+@pytest.mark.parametrize("error", [fock_mod.FockError, ConsistencyError])
+def test_failed_computation_exits_1(capsys, monkeypatch, error):
+    def fail(*_):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "analyze", fail)
+    rc, out, err = run_cli(["states"], capsys)
+    assert (rc, out, err) == (1, "", "computation failed: forced\n")
+
+
 def test_simulate_unknown_config_field_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"voltage": 9000}))

@@ -134,9 +134,26 @@ def test_gram_rejects_non_unit_states():
         StateEnsemble([v])
 
 
+@pytest.mark.parametrize("count, priors, reason", [
+    (0, None, "at least one state"),
+    (2, (1.0,), "one prior per state"),
+    (2, (1.5, -0.5), "non-negative"),
+    (2, (0.5, 0.4), "sum to 1"),
+])
+def test_ensemble_rejects_bad_states_and_priors(count, priors, reason):
+    states = [ideal_bb84_state("+", 0), ideal_bb84_state("x", 0)][:count]
+    with pytest.raises(ValueError, match=reason):
+        StateEnsemble(states, priors)
+
+
+def test_ensemble_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'StateEnsemble'"):
+        hash(analyze(SourceParams("wcp", 0.3)).ensemble)
+
+
 def test_gram_rejects_mixed_mode_counts():
     with pytest.raises(DimensionMismatch):
-        StateEnsemble([ideal_bb84_state("+", 0), FockVector.basis((1, 0, 0, 0))])
+        StateEnsemble([ideal_bb84_state("+", 0), FockVector(4, {(1, 0, 0, 0): 1.0})])
 
 
 # ------------------------------------------------------------- rank

@@ -29,7 +29,6 @@ from fockqkd.fock import (
     TruncationOverflow,
     all_count_outcomes,
     apply_loss,
-    binomial_thinning,
     count_branches,
     inner_product,
     normalize,
@@ -41,7 +40,14 @@ from fockqkd.fock import (
 )
 from fockqkd.sources import MEASUREMENT_ANGLE, SourceParams, pdc_modified_singlet
 
+from fock_oracle import binomial_thinning, mean_photon
+
 SQ2 = math.sqrt(2.0)
+
+
+def ket(*pattern):
+    """The unit vector of one occupation pattern."""
+    return FockVector(len(pattern), {pattern: 1.0})
 
 
 def random_state(rng, mode_count=2, n_max=6, n_terms=5):
@@ -74,6 +80,14 @@ def test_construction_rejects_each_fault(pattern, amp, error, reason):
     assert type(exc.value) is error
 
 
+def test_no_modes_and_non_finite_products_are_rejected():
+    with pytest.raises(FockError, match="mode_count must be positive"):
+        FockVector(0, {})
+    # numpy warns of the inf * 0 first; the error is what a caller catches
+    with np.errstate(invalid="ignore"), pytest.raises(FockError, match="non-finite"):
+        ket(1, 0) * math.inf
+
+
 def test_construction_keeps_valid_patterns_as_integer_tuples():
     v = FockVector(2, {(np.int64(3), 3.0): 0.5, (0, 6): 1e-16, (6, 0): 2})
     assert v.amps == {(3, 3): 0.5, (6, 0): 2}
@@ -84,8 +98,8 @@ def test_construction_keeps_valid_patterns_as_integer_tuples():
 
 
 def test_inner_product_orthonormal_basis():
-    v10 = FockVector.basis((1, 0))
-    v01 = FockVector.basis((0, 1))
+    v10 = ket(1, 0)
+    v01 = ket(0, 1)
     assert inner_product(v10, v10) == pytest.approx(1.0)
     assert inner_product(v10, v01) == pytest.approx(0.0)
 
@@ -108,7 +122,7 @@ def test_inner_product_conjugate_symmetry():
 
 def test_inner_product_mode_mismatch():
     with pytest.raises(DimensionMismatch):
-        inner_product(FockVector.basis((1, 0)), FockVector.basis((1, 0, 0)))
+        inner_product(ket(1, 0), ket(1, 0, 0))
 
 
 # ------------------------------------------------------------------- normalize
@@ -189,13 +203,13 @@ def to_dense(v, basis, index):
 
 
 def test_rotate_single_photon_splits_equally():
-    rotated = rotate_modes(FockVector.basis((1, 0)), 0, 1, math.pi / 4)
+    rotated = rotate_modes(ket(1, 0), 0, 1, math.pi / 4)
     assert rotated.amplitude((1, 0)) == pytest.approx(1 / SQ2, abs=1e-15)
     assert rotated.amplitude((0, 1)) == pytest.approx(1 / SQ2, abs=1e-15)
 
 
 def test_rotate_two_photon_binomial():
-    rotated = rotate_modes(FockVector.basis((2, 0)), 0, 1, math.pi / 4)
+    rotated = rotate_modes(ket(2, 0), 0, 1, math.pi / 4)
     assert rotated.amplitude((2, 0)) == pytest.approx(0.5, abs=1e-15)
     assert rotated.amplitude((1, 1)) == pytest.approx(1 / SQ2, abs=1e-15)
     assert rotated.amplitude((0, 2)) == pytest.approx(0.5, abs=1e-15)
@@ -266,7 +280,13 @@ def test_rotate_untouched_modes_pass_through():
 
 def test_rotate_same_mode_rejected():
     with pytest.raises(DimensionMismatch):
-        rotate_modes(FockVector.basis((1, 0)), 0, 0, 0.1)
+        rotate_modes(ket(1, 0), 0, 0, 0.1)
+
+
+@pytest.mark.parametrize("i, j, bad", [(0, 2, 2), (-1, 1, -1)])
+def test_rotate_mode_out_of_range_rejected(i, j, bad):
+    with pytest.raises(DimensionMismatch, match=f"mode {bad} out of range"):
+        rotate_modes(ket(1, 0), i, j, 0.1)
 
 
 # ------------------------------------------------------------------ projection
@@ -282,7 +302,7 @@ def test_project_ideal_singlet_branch():
 
 
 def test_project_no_support_gives_null_flag():
-    v = FockVector.basis((0, 1, 1, 0))
+    v = ket(0, 1, 1, 0)
     outcome = project_counts(v, (0, 1), (1, 0))
     assert outcome.weight == 0.0
     assert outcome.state is None
@@ -370,7 +390,7 @@ def test_count_branches_agree_with_all_count_outcomes(mode_count):
 
 
 def test_projection_errors():
-    v = FockVector.basis((0, 1, 1, 0))
+    v = ket(0, 1, 1, 0)
     for modes, counts in (((0, 0), (0, 0)), ((0, 4), (0, 0)), ((0, 1), (0,))):
         with pytest.raises(DimensionMismatch):
             project_counts(v, modes, counts)
@@ -390,7 +410,7 @@ def test_projection_errors():
 
 def test_loss_single_photon_branches():
     t = 0.37
-    branches = apply_loss(FockVector.basis((1, 0)), 0, t)
+    branches = apply_loss(ket(1, 0), 0, t)
     weights = {tuple(b.state.amps): b.weight for b in branches}
     assert weights[((1, 0),)] == pytest.approx(t, abs=1e-15)
     assert weights[((0, 0),)] == pytest.approx(1 - t, abs=1e-15)
@@ -422,9 +442,9 @@ def test_loss_mean_photon_scales_by_t():
         v = random_state(rng, n_terms=6)
         unit, _ = normalize(v)
         t = rng.uniform(0, 1)
-        before = unit.mean_photon(0)
+        before = mean_photon(unit, 0)
         after = sum(
-            b.weight * b.state.mean_photon(0) for b in apply_loss(unit, 0, t)
+            b.weight * mean_photon(b.state, 0) for b in apply_loss(unit, 0, t)
         )
         assert after == pytest.approx(t * before, abs=1e-10)
 
@@ -467,7 +487,7 @@ def test_loss_composes_multiplicatively(modes, seed, t1, t2):
 
 def test_loss_invalid_transmission():
     with pytest.raises(FockError):
-        apply_loss(FockVector.basis((1, 0)), 0, 1.5)
+        apply_loss(ket(1, 0), 0, 1.5)
 
 
 def _loss_by_closed_form(v, mode, t):
@@ -585,7 +605,7 @@ def test_normalize_rows_is_normalize_row_by_row():
     states = [random_state(rng, mode_count=3, n_terms=6) for _ in range(12)]
     assert normalize_rows(3, [s.array for s in states]) == [normalize(s) for s in states]
     with pytest.raises(NearZeroVector):
-        normalize_rows(2, [FockVector.basis((1, 0)).array, np.zeros(28)])
+        normalize_rows(2, [ket(1, 0).array, np.zeros(28)])
 
 
 _KERNELS = (

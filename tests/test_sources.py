@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,7 +21,6 @@ import pytest
 import fockqkd.sources
 from fockqkd.attack import analyze
 from fockqkd.fock import (
-    N_MAX,
     FockVector,
     inner_product,
     normalize,
@@ -41,6 +41,7 @@ from fockqkd.sources import (
     wcp_state,
 )
 
+from fock_oracle import mean_photon
 from sender_table import sender_table
 
 SQ2 = math.sqrt(2.0)
@@ -163,17 +164,6 @@ def test_wcp_first_order_keeps_vacuum_term_drops_two_photons():
         assert st.amplitude(p) == 0.0
 
 
-def test_wcp_exact_coherent_ladder():
-    alpha = 0.3
-    st = wcp_state(wcp_params(alpha), "+", 0, exact_coherent=True).state
-    base = st.amplitude((0, 0))
-    for n in range(1, 5):
-        ratio = st.amplitude((n, 0)) / base
-        assert ratio == pytest.approx(alpha**n / math.sqrt(math.factorial(n)), rel=1e-12)
-    mean = st.mean_photon(0) + st.mean_photon(1)
-    assert mean == pytest.approx(alpha**2, abs=1e-8)
-
-
 def entry_by_entry_kets(coeffs, labels):
     """Un-normalized kets of ``labels``, each amplitude c * a filled in one
     entry at a time from the n-photon polarized amplitudes."""
@@ -198,13 +188,6 @@ def test_wcp_kets_are_the_entry_by_entry_expansion_bit_for_bit(alpha):
         for label in labels:
             ket = wcp_state(wcp_params(alpha, order), *label).state
             assert [ket.array.tobytes()] == entry_by_entry_kets(coeffs, [label])
-    coeffs = [
-        math.exp(-(alpha**2) / 2.0) * alpha**n / math.sqrt(math.factorial(n))
-        for n in range(N_MAX + 1)
-    ]
-    for label in labels:
-        ket = wcp_state(wcp_params(alpha), *label, exact_coherent=True).state
-        assert [ket.array.tobytes()] == entry_by_entry_kets(coeffs, [label])
 
 
 def test_wcp_catalog_is_rank_four():
@@ -237,7 +220,25 @@ def test_wcp_mean_photon_number():
     st = wcp_state(wcp_params(alpha), "+", 0).state
     nsq = (1 - alpha**2 / 2) ** 2 + alpha**2 + alpha**4 / 2
     expected = (alpha**2 + alpha**4) / nsq
-    assert st.mean_photon(0) + st.mean_photon(1) == pytest.approx(expected, rel=1e-12)
+    assert mean_photon(st, 0) + mean_photon(st, 1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_untruncated_pulse_fatal_loss_closed_form():
+    # The README's fatal loss without the truncation, from numpy alone: the
+    # coherent states polarized along u_i overlap as exp(-mu (1 - u_i.u_j)),
+    # the equal-probability USD identifies each with probability lambda_min
+    # of that Gram matrix, and the any-click yield 1 - exp(-mu t) meets it at
+    # t*.  The Poisson ladder cut at N_MAX = 6 photons gives a t* within
+    # 2.1e-8 relative of this one.
+    mu = 0.1
+    u = np.array([[1.0, 0.0], [0.0, 1.0], [1 / SQ2, 1 / SQ2], [1 / SQ2, -1 / SQ2]])
+    rate = np.linalg.eigvalsh(np.exp(-mu * (1.0 - u @ u.T)))[0]
+    t_star = -math.log1p(-rate) / mu
+    assert t_star == pytest.approx(7.2654599e-3, rel=1e-8)
+    fatal = f"{100 * (1 - t_star):.3f}%"
+    assert fatal == "99.273%"
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    assert f"fatal loss of {fatal}" in " ".join(readme.read_text(encoding="utf-8").split())
 
 
 # ---------------------------------------------------------------- pdc
@@ -432,6 +433,14 @@ def test_alice_measure_first_order_acceptance_probability():
     accepted = sum(e.weight for e in table if e.basis == "+" and e.index >= 0)
     assert accepted == pytest.approx((chi**2 / 2) / (1 + chi**4 / 4), rel=1e-12)
     assert accepted == pytest.approx(chi**2 / 2, rel=1e-7)
+
+
+def test_alice_measure_needs_two_arms_and_a_basis():
+    params = pdc_params(0.1)
+    with pytest.raises(ParameterError, match="4-mode state"):
+        alice_measure(ideal_bb84_state("+", 0), "+", params)
+    with pytest.raises(ParameterError, match="basis must be one of"):
+        alice_measure(pdc_modified_singlet(params), "z", params)
 
 
 # ------------------------------------------------------------ misc

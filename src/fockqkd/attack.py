@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from fockqkd.discrimination import ConsistencyError, StateEnsemble
-from fockqkd.fock import EPS_AMP, _frozen, pattern_index, rotation_matrix, thinning_matrix
+from fockqkd.fock import (_CACHED, EPS_AMP, _frozen, pattern_index, rotation_matrix,
+                          thinning_matrix)
 from fockqkd.sources import (
     BASES,
     MEASUREMENT_ANGLE,
@@ -297,6 +298,13 @@ def critical_transmission(
 # ------------------------------------------------------- Monte Carlo
 
 
+@cache
+def _both_bases_rotation() -> np.ndarray:
+    """The cached rotation matrices of ``BASES``, stacked, read-only."""
+    turns = [(math.cos(t), math.sin(t)) for t in map(MEASUREMENT_ANGLE.get, BASES)]
+    return _frozen(np.concatenate([rotation_matrix(c, s) for c, s in turns]))
+
+
 def _detection_tables(a: np.ndarray, survival: float) -> np.ndarray:
     """The (2·len(a), patterns) matrix of detected-pattern probabilities of
     the amplitude rows ``a`` (an ensemble's ``matrix``), patterns in the
@@ -309,9 +317,7 @@ def _detection_tables(a: np.ndarray, survival: float) -> np.ndarray:
     rotation (both act photon-wise and isotropically): the probabilities
     are |A·Rᵀ|² times the cached thinning matrix.
     """
-    angles = [MEASUREMENT_ANGLE[b] for b in BASES]
-    r = np.concatenate([rotation_matrix(math.cos(t), math.sin(t)) for t in angles])
-    amps = (a @ r.T).reshape(2 * len(a), -1)  # row 2·i + b
+    amps = (a @ _both_bases_rotation().T).reshape(2 * len(a), -1)  # row 2·i + b
     amps[np.abs(amps) < EPS_AMP] = 0.0
     w = np.abs(amps) ** 2
     w /= w.sum(axis=1, keepdims=True)
@@ -319,6 +325,16 @@ def _detection_tables(a: np.ndarray, survival: float) -> np.ndarray:
     if (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
         raise ParameterError("detected-count probabilities do not sum to 1")
     return probs
+
+
+def _sampling_tables(model: SourceModel, survival: float):
+    """Stage 3's multinomial probabilities for ``model``'s states, their
+    :func:`_detection_tables` and a zero column, and each table's last possible
+    pattern, which takes over what numpy's multinomial leaves to the last
+    category (about n·2**-53 pulses), so no impossible pattern occurs."""
+    probs = _detection_tables(model.ensemble.matrix, survival)
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    return np.concatenate((probs, np.zeros((len(probs), 1))), axis=1), last
 
 
 @cache
@@ -333,6 +349,12 @@ def _click_kinds() -> np.ndarray:
 def _resend_model() -> SourceModel:
     """The ideal catalog the eavesdropper resends from, analysed on first use."""
     return analyze(ideal_signal_states())
+
+
+@lru_cache(maxsize=_CACHED)
+def _resend_tables(eta_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sampling_tables` of the eavesdropper's resends, read-only."""
+    return tuple(map(_frozen, _sampling_tables(_resend_model(), eta_b)))
 
 
 def run_protocol_monte_carlo(
@@ -357,7 +379,7 @@ def run_protocol_monte_carlo(
        binomial with the state's conclusive probability, regrouped by
        label into the tables of her resends;
     3. one multinomial per table over its detected patterns, all tables
-       in one draw.
+       in one draw; the resends' tables are cached per ``eta_b``.
     """
     eta_b = config.bob_detector_efficiency
     attack_requested = attack.kind == ATTACK_CONCLUSIVE
@@ -373,8 +395,7 @@ def run_protocol_monte_carlo(
     n_table = rng.multinomial(config.n_pulses, p_table)[:-1]
     accepted_n = int(n_table.sum())
 
-    received, survival = model, config.channel.transmission * eta_b
-    eve_conclusive = 0
+    received, eve_conclusive = model, 0
     if conclusive_probs is not None:
         # stage 2: the measurement is applied to every accepted pulse; with
         # zero cross-talk a conclusive outcome always carries the true
@@ -386,18 +407,12 @@ def run_protocol_monte_carlo(
         sent = np.arange(len(n_table))
         n_table = np.zeros(8, dtype=np.int64)
         np.add.at(n_table, 2 * model.labels[sent // 2] + sent % 2, conclusive)
-        received, survival = _resend_model(), eta_b
-    # stage 3: numpy's multinomial leaves what rounding does not assign
-    # (about n·2**-53 pulses) to its last category; a zero column takes it
-    # over to each table's last possible pattern, so an impossible pattern
-    # never occurs
-    probs = _detection_tables(received.ensemble.matrix, survival)
-    p_pattern = np.zeros((len(probs), probs.shape[1] + 1))
-    p_pattern[:, :-1] = probs
-    counts = rng.multinomial(n_table, p_pattern)
+        received, (p_pattern, last) = _resend_model(), _resend_tables(eta_b)
+    else:
+        p_pattern, last = _sampling_tables(model, config.channel.transmission * eta_b)
+    counts = rng.multinomial(n_table, p_pattern)  # stage 3
     row = np.arange(len(counts))
-    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
-    counts[row, last] += counts[:, -1]
+    counts[row, last] += counts[:, -1]  # the rounding remainder (see _sampling_tables)
 
     # a lone V click reads bit 0, a lone H click bit 1; a pulse is sifted
     # when the receiver's basis is the sender's

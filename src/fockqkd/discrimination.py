@@ -111,7 +111,7 @@ def ambient_matrix(ensemble: StateEnsemble) -> tuple[tuple[Pattern, ...], np.nda
     a = ensemble.matrix
     cols = np.flatnonzero(a.any(axis=0))
     pats = pattern_index(ensemble.states[0].mode_count)[0]
-    return tuple(pats[k] for k in cols), a[:, cols]
+    return tuple(map(pats.__getitem__, cols.tolist())), a[:, cols]
 
 
 def gram(ensemble: StateEnsemble) -> np.ndarray:
@@ -128,7 +128,7 @@ def gram(ensemble: StateEnsemble) -> np.ndarray:
 
 def _rank(eigs: np.ndarray, tol: float) -> int:
     """Eigenvalues above ``tol`` times the largest; 0 if none is positive."""
-    return int(np.sum(eigs > tol * max(np.max(eigs), 0.0)))
+    return int(np.count_nonzero(eigs > tol * max(np.max(eigs), 0.0)))
 
 
 def numerical_rank(g: np.ndarray, tol: float = SINGULAR_TOL) -> int:
@@ -163,15 +163,13 @@ def _dual_frame(ensemble: StateEnsemble):
 
 def _assemble_povm(ensemble, basis, coords, recip, scales) -> UsdPovm:
     """Conclusive elements scale_i |psi~_i><psi~_i| and the inconclusive rest."""
-    elements = tuple(s * np.outer(r, r.conj()) for s, r in zip(scales, recip))
-    inconclusive = np.eye(coords.shape[1], dtype=complex) - sum(elements)
-    probs = np.array(
-        [float(np.real(c.conj() @ e @ c)) for c, e in zip(coords, elements)]
-    )
+    elements = scales[:, None, None] * (recip[:, :, None] * recip.conj()[:, None, :])
+    inconclusive = np.eye(coords.shape[1], dtype=complex) - elements.sum(axis=0)
+    probs = np.array([(c.conj() @ e @ c).real for c, e in zip(coords, elements)])
     return UsdPovm(
         ensemble=ensemble,
         span_basis=basis,
-        conclusive_elements=elements,
+        conclusive_elements=tuple(elements),
         inconclusive_element=inconclusive,
         conclusive_probabilities=probs,
         reciprocal_norms=np.linalg.norm(recip, axis=1),
@@ -192,7 +190,7 @@ def usd_povm_equal(ensemble: StateEnsemble) -> UsdPovm:
     """
     svals, basis, coords, recip = _dual_frame(ensemble)
     q = float(svals[-1] ** 2)
-    povm = _assemble_povm(ensemble, basis, coords, recip, [q] * len(ensemble))
+    povm = _assemble_povm(ensemble, basis, coords, recip, np.full(len(ensemble), q))
     lam = povm.min_inconclusive_eigenvalue
     if abs(lam) > PSD_TOL:  # boundary-tightness certificate
         raise ConsistencyError(

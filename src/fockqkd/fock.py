@@ -198,14 +198,16 @@ class FockVector:
 
     def __add__(self, other: "FockVector") -> "FockVector":
         self._require_same_shape(other)
-        array = _finite(self.array + other.array)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite raises instead
+            array = _finite(self.array + other.array)
         return FockVector._of(self.mode_count, _clean(array))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockVector":
-        array = _finite(self.array * complex(scalar))
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite raises instead
+            array = _finite(self.array * complex(scalar))
         return FockVector._of(self.mode_count, _clean(array))
 
     __rmul__ = __mul__
@@ -244,14 +246,14 @@ def normalize_rows(mode_count: int, rows) -> list[tuple[FockVector, float]]:
     of ``mode_count`` modes, in one pass; amplitudes below ``EPS_AMP`` are
     dropped first."""
     rows = _clean(_finite(np.array(rows, dtype=complex)))
-    nsq = _norms_sq(rows)
-    if (np.sqrt(nsq) <= EPS_NORM).any():
+    root = np.sqrt(nsq := _norms_sq(rows))
+    if (root <= EPS_NORM).any():
         raise NearZeroVector("cannot normalize a numerically zero vector")
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    size, root = np.abs(lead), np.sqrt(nsq)
+    size = np.abs(lead)
     scale = lead.real / size / root - 1j * (lead.imag / size / root)
     units = _clean(rows * scale[:, None])
-    return [(FockVector._of(mode_count, u), float(q)) for u, q in zip(units, nsq)]
+    return [(FockVector._of(mode_count, u), q) for u, q in zip(units, nsq.tolist())]
 
 
 @lru_cache(maxsize=_CACHED)

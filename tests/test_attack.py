@@ -386,6 +386,26 @@ def test_attacked_runs_analyse_the_ideal_catalog_once(monkeypatch):
         (mq.basis, mq.bit) for mq in ideal_signal_states()]
 
 
+def test_resend_tables_are_built_once_per_eta_b_and_read_only(monkeypatch):
+    built = []
+    real = attack_mod._sampling_tables
+    monkeypatch.setattr(
+        attack_mod, "_sampling_tables",
+        lambda model, survival: built.append(survival) or real(model, survival),
+    )
+    attack_mod._resend_tables.cache_clear()
+    for eta_b in (1.0, 0.5):
+        for seed in (1, 2):
+            run(wcp(), 1e-3, 10_000, seed, attack=CONCLUSIVE_ATTACK, eta_b=eta_b)
+    assert built == [1.0, 0.5]
+    for table in attack_mod._resend_tables(0.5):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    # an honest run builds its own tables, at the channel's survival
+    run(wcp(), 0.25, 10_000, 1, eta_b=0.5)
+    assert built == [1.0, 0.5, 0.125]
+
+
 # ---------------------------------------------- critical transmission
 
 

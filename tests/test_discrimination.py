@@ -431,6 +431,48 @@ def test_certificate_refuses_a_scaled_q(monkeypatch, factor):
         usd_povm_equal(wcp_ensemble(0.003))
 
 
+def _assembled(monkeypatch, build):
+    """The measurement ``build()`` returns and the arguments it handed
+    ``_assemble_povm``."""
+    seen = []
+    assemble = discrimination._assemble_povm
+
+    def spy(*args):
+        seen.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(discrimination, "_assemble_povm", spy)
+    povm = build()
+    assert len(seen) == 1
+    return povm, seen[0]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("alpha", [0.003, 0.1, math.sqrt(0.1), 0.6])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_povm_assembly_is_bit_for_bit_the_outer_products(
+    monkeypatch, alpha, order, weighted
+):
+    # order 1's four states span 3 dimensions, so three of them are taken
+    ensemble = StateEnsemble(wcp_ensemble(alpha, order).states[: 2 + order])
+    if weighted:
+        weights = np.linspace(1.0, 3.0, len(ensemble))
+        povm, args = _assembled(monkeypatch, lambda: usd_povm_weighted(ensemble, weights))
+    else:
+        povm, args = _assembled(monkeypatch, lambda: usd_povm_equal(ensemble))
+    _, basis, coords, recip, scales = args
+    assert povm.span_basis is basis
+    want = [float(s) * np.outer(r, r.conj()) for s, r in zip(scales, recip)]
+    assert len(povm.conclusive_elements) == len(want) == len(ensemble)
+    for got, expected in zip(povm.conclusive_elements, want):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    inconclusive = np.eye(coords.shape[1]) - sum(want)
+    assert povm.inconclusive_element.tobytes() == inconclusive.tobytes()
+    probs = [float(np.real(c.conj() @ e @ c)) for c, e in zip(coords, want)]
+    assert povm.conclusive_probabilities.tobytes() == np.array(probs).tobytes()
+
+
 # ---------------------------------------------- random complex ensembles
 
 # the first eight two-mode patterns, a span large enough for k <= 5 states

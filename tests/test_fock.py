@@ -83,9 +83,12 @@ def test_construction_rejects_each_fault(pattern, amp, error, reason):
 def test_no_modes_and_non_finite_products_are_rejected():
     with pytest.raises(FockError, match="mode_count must be positive"):
         FockVector(0, {})
-    # numpy warns of the inf * 0 first; the error is what a caller catches
-    with np.errstate(invalid="ignore"), pytest.raises(FockError, match="non-finite"):
-        ket(1, 0) * math.inf
+    # a FockError, not numpy's RuntimeWarning (an error under this suite's
+    # filterwarnings): inf * 0 is invalid, 1e308 * 10 and 1e308 + 1e308 overflow
+    big = FockVector(2, {(1, 0): 1e308})
+    for product in (lambda: ket(1, 0) * math.inf, lambda: big * 10, lambda: big + big):
+        with pytest.raises(FockError, match="non-finite"):
+            product()
 
 
 def test_construction_keeps_valid_patterns_as_integer_tuples():

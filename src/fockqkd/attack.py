@@ -311,13 +311,14 @@ def _detection_tables(a: np.ndarray, survival: float) -> np.ndarray:
     lexicographic order of ``pattern_index(2)[0]``; row 2·i + b is sent
     state i in receiver basis ``BASES[b]``.
 
-    The amplitudes are one product of A with the cached rotation matrices
-    R of both bases, rotated amplitudes below ``EPS_AMP`` dropped as a
-    Fock vector drops them.  Loss and detector efficiency commute with the
-    rotation (both act photon-wise and isotropically): the probabilities
-    are |A·Rᵀ|² times the cached thinning matrix.
+    The amplitudes are the cached real rotations R of both bases times the
+    (re, im) columns of Aᵀ, as ``fock._turn`` applies R, those below
+    ``EPS_AMP`` dropped as a Fock vector drops them.  Loss and detector
+    efficiency commute with the rotation (both act photon-wise and
+    isotropically): the probabilities are |A·Rᵀ|² times the thinning matrix.
     """
-    amps = (a @ _both_bases_rotation().T).reshape(2 * len(a), -1)  # row 2·i + b
+    turned = (_both_bases_rotation() @ np.ascontiguousarray(a.T).view(float)).view(complex)
+    amps = turned.T.reshape(2 * len(a), -1)  # row 2·i + b
     amps[np.abs(amps) < EPS_AMP] = 0.0
     w = np.abs(amps) ** 2
     w /= w.sum(axis=1, keepdims=True)

@@ -1,9 +1,10 @@
 """Unambiguous discrimination of linearly independent signal states.
 
-Given an ensemble of unit-norm Fock vectors, this module builds the
-measurement that identifies a state with certainty when it fires: each
-conclusive element is proportional to the projector onto the reciprocal
-(dual-basis) state, so it can never fire on any other ensemble member.
+Given an ensemble of unit-norm states, the rows of one amplitude matrix,
+this module builds the measurement that identifies a state with certainty
+when it fires: each conclusive element is proportional to the projector
+onto the reciprocal (dual-basis) state, so it can never fire on any other
+ensemble member.
 The price is a large inconclusive probability; the equal-probability
 family maximizes the common conclusive probability, which equals the
 smallest eigenvalue of the overlap (Gram) matrix.
@@ -23,11 +24,12 @@ span, never in the full Fock space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from fockqkd.fock import DimensionMismatch, FockVector, Pattern, _frozen, pattern_index
+from fockqkd.fock import DimensionMismatch, FockVector, _frozen, pattern_index
 
 PSD_TOL = 1e-10
 # The one rank rule, of the USD refusal and of ``states``: a Gram eigenvalue
@@ -48,40 +50,58 @@ class ConsistencyError(RuntimeError):
     """An internal numerical consistency check failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateEnsemble:
-    """A discrimination problem instance: unit states with prior weights,
-    and the read-only (states, patterns) ``matrix`` of their amplitudes."""
+    """A discrimination problem instance: unit states of ``mode_count`` modes
+    as the rows of the read-only (states, patterns) ``matrix``, with prior
+    weights; :meth:`from_matrix` builds one from rows, with the same checks."""
 
-    states: tuple[FockVector, ...]
+    matrix: np.ndarray
     priors: tuple[float, ...]
-    matrix: np.ndarray = field(init=False, compare=False, repr=False)
-    __hash__ = None  # FockVector defines __eq__ only, so its tuples cannot hash
+    mode_count: int
+    __hash__ = None  # equal by value, and the amplitudes are an array
 
     def __init__(self, states, priors=None):
         states = tuple(states)
-        if not states:
+        self._set(states[0].mode_count if states else 1, [s.array for s in states], priors)
+
+    @classmethod
+    def from_matrix(cls, mode_count: int, rows, priors=None) -> "StateEnsemble":
+        """The ensemble of amplitude ``rows`` over the index of ``mode_count`` modes."""
+        return object.__new__(cls)._set(mode_count, rows, priors)
+
+    def _set(self, mode_count: int, rows, priors) -> "StateEnsemble":
+        if not len(rows):
             raise ValueError("ensemble must contain at least one state")
-        if any(s.mode_count != states[0].mode_count for s in states):
+        width = len(pattern_index(mode_count)[0])
+        if any(np.shape(row) != (width,) for row in rows):
             raise DimensionMismatch("ensemble states must share mode_count")
-        matrix = _frozen(np.array([s.array for s in states]))
+        matrix = np.array(rows, dtype=complex)
         if (np.abs(np.sqrt(np.square(matrix.view(float)).sum(axis=1)) - 1) > 1e-10).any():
             raise ValueError("ensemble states must have unit norm")
         if priors is None:
-            priors = (1.0 / len(states),) * len(states)
+            priors = (1.0 / len(matrix),) * len(matrix)
         priors = tuple(float(p) for p in priors)
-        if len(priors) != len(states):
+        if len(priors) != len(matrix):
             raise ValueError("need one prior per state")
         if any(p < 0 for p in priors):
             raise ValueError("priors must be non-negative")
         if abs(sum(priors) - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "matrix", matrix)
+        vars(self).update(matrix=_frozen(matrix), priors=priors, mode_count=mode_count)
+        return self
+
+    @cached_property
+    def states(self) -> tuple[FockVector, ...]:
+        """The rows as Fock vectors, built on first use."""
+        return tuple(FockVector._of(self.mode_count, row) for row in self.matrix)
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, StateEnsemble) and self.priors == other.priors
+        return same and np.array_equal(self.matrix, other.matrix)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -105,19 +125,15 @@ class UsdPovm:
     min_inconclusive_eigenvalue: float
 
 
-def ambient_matrix(ensemble: StateEnsemble) -> tuple[tuple[Pattern, ...], np.ndarray]:
-    """The ensemble's ``matrix`` without the columns no state holds: the
-    patterns kept, in order, and the (states, kept) matrix."""
-    a = ensemble.matrix
-    cols = np.flatnonzero(a.any(axis=0))
-    pats = pattern_index(ensemble.states[0].mode_count)[0]
-    return tuple(map(pats.__getitem__, cols.tolist())), a[:, cols]
+def ambient_matrix(ensemble: StateEnsemble) -> np.ndarray:
+    """The ensemble's ``matrix`` without the columns no state holds."""
+    return ensemble.matrix[:, ensemble.matrix.any(axis=0)]
 
 
 def gram(ensemble: StateEnsemble) -> np.ndarray:
     """Overlap matrix G_ij = <psi_i|psi_j> of the ensemble states, checked
     Hermitian and positive semidefinite."""
-    _, a = ambient_matrix(ensemble)
+    a = ambient_matrix(ensemble)
     g = a.conj() @ a.T
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise ConsistencyError("gram matrix is not Hermitian")
@@ -139,7 +155,7 @@ def numerical_rank(g: np.ndarray, tol: float = SINGULAR_TOL) -> int:
 def span_dimension(ensemble: StateEnsemble) -> int:
     """Span dimension by the USD refusal's rule, from the same SVD of the
     ambient matrix (see :func:`_dual_frame`)."""
-    _, a = ambient_matrix(ensemble)
+    a = ambient_matrix(ensemble)
     return _rank(np.linalg.svd(a, full_matrices=False)[1] ** 2, SINGULAR_TOL)
 
 
@@ -149,8 +165,7 @@ def _dual_frame(ensemble: StateEnsemble):
     states' coordinates U·S in it and the reciprocal states' U/S, with
     <psi~_i|psi_j> = delta_ij.  A linearly dependent ensemble raises
     NotDiscriminable."""
-    _, a = ambient_matrix(ensemble)
-    u, svals, vh = np.linalg.svd(a, full_matrices=False)
+    u, svals, vh = np.linalg.svd(ambient_matrix(ensemble), full_matrices=False)
     r = _rank(svals**2, SINGULAR_TOL)
     if r < len(ensemble):
         raise NotDiscriminable(

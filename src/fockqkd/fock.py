@@ -238,13 +238,14 @@ def normalize(v: FockVector) -> tuple[FockVector, float]:
     lexicographic pattern order is made real and positive.  The squared
     norm is returned so callers can keep probability bookkeeping exact.
     """
-    return normalize_rows(v.mode_count, v.array[None])[0]
+    units, nsq = normalize_rows(v.array[None])
+    return FockVector._of(v.mode_count, units[0]), float(nsq[0])
 
 
-def normalize_rows(mode_count: int, rows) -> list[tuple[FockVector, float]]:
-    """:func:`normalize` for each row of an amplitude matrix over the index
-    of ``mode_count`` modes, in one pass; amplitudes below ``EPS_AMP`` are
-    dropped first."""
+def normalize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize` for each row of an amplitude matrix, in one pass:
+    the read-only unit rows and the squared norms; amplitudes below
+    ``EPS_AMP`` are dropped first."""
     rows = _clean(_finite(np.array(rows, dtype=complex)))
     root = np.sqrt(nsq := _norms_sq(rows))
     if (root <= EPS_NORM).any():
@@ -252,8 +253,7 @@ def normalize_rows(mode_count: int, rows) -> list[tuple[FockVector, float]]:
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     size = np.abs(lead)
     scale = lead.real / size / root - 1j * (lead.imag / size / root)
-    units = _clean(rows * scale[:, None])
-    return [(FockVector._of(mode_count, u), q) for u, q in zip(units, nsq.tolist())]
+    return _clean(rows * scale[:, None]), nsq
 
 
 @lru_cache(maxsize=_CACHED)
@@ -336,8 +336,9 @@ def count_branches(v: FockVector, modes: Iterable[int]):
     """Count the photons in ``modes`` of ``v``: the ascending positions in
     the index of ``len(modes)`` modes of the count patterns that occur (one
     scatter by the cached count groups, rows of norm above ``EPS_NORM``),
-    the unit state of the other modes after each (see :func:`normalize`),
-    and each one's probability relative to the squared norm of ``v``."""
+    the unit amplitude rows of the other modes after each (see
+    :func:`normalize_rows`), and each one's probability relative to the
+    squared norm of ``v``."""
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
         raise DimensionMismatch("projection modes must be distinct")
@@ -349,8 +350,8 @@ def count_branches(v: FockVector, modes: Iterable[int]):
         raise NearZeroVector("projection of a numerically zero vector")
     rows = _grouped(v, modes)[0]
     live = np.flatnonzero(np.sqrt(_norms_sq(rows)) > EPS_NORM)
-    units = normalize_rows(v.mode_count - len(modes), rows[live])
-    return live, [u for u, _ in units], np.array([q for _, q in units]) / total
+    units, nsq = normalize_rows(rows[live])
+    return live, units, nsq / total
 
 
 def project_counts(
@@ -384,7 +385,8 @@ def all_count_outcomes(
     """
     modes = tuple(modes)
     index, units, probs = count_branches(v, modes)
-    found = dict(zip(index.tolist(), zip(units, probs.tolist())))
+    found = {k: (FockVector._of(v.mode_count - len(modes), u), p)
+             for k, u, p in zip(index.tolist(), units, probs.tolist())}
     _, position, counts = pattern_index(len(modes))
     group = _count_groups(v.mode_count, modes)[0]
     maxima = counts[group[v.array != 0]].max(axis=0)
@@ -433,4 +435,5 @@ def apply_loss(v: FockVector, mode: int, t: float) -> list[WeightedState]:
     wide = FockVector(env + 1, {p + (0,): a for p, a in v.items()})
     split = _turn(wide, mode, env, math.sqrt(t), math.sqrt(1 - t))
     _, units, probs = count_branches(split, (env,))
-    return [WeightedState(u, p) for u, p in zip(units, probs.tolist())]
+    return [WeightedState(FockVector._of(env, u), p)
+            for u, p in zip(units, probs.tolist())]

@@ -35,7 +35,6 @@ from fockqkd.fock import (
     FockVector,
     N_MAX,
     Pattern,
-    WeightedState,
     _clean,
     _frozen,
     count_branches,
@@ -193,12 +192,12 @@ def alice_measure(singlet: FockVector, basis: str, params: SourceParams):
     The sender's modes are turned by the cached rotation matrix (angle 0
     for the rectilinear basis, -pi/4 for the diagonal one) and counted by
     :func:`~fockqkd.fock.count_branches`: ``true[i]`` is the position of a
-    true count pattern in the two-mode index, ``states[i]`` the receiver's
-    unit state after it, and ``joint[i, k]`` its weight times the cached
-    thinning matrix entry (true[i], k) of the detector efficiency, the
-    probability that the detectors then register pattern k (no dark
-    counts).  ``joint`` sums to 1; :func:`analyze` decides which detected
-    patterns herald a bit.
+    true count pattern in the two-mode index, row ``states[i]`` the
+    receiver's unit amplitudes after it, and ``joint[i, k]`` its weight
+    times the cached thinning matrix entry (true[i], k) of the detector
+    efficiency, the probability that the detectors then register pattern k
+    (no dark counts).  ``joint`` sums to 1; :func:`analyze` decides which
+    detected patterns herald a bit.
     """
     if singlet.mode_count != 4:
         raise ParameterError("sender measurement expects a 4-mode state")
@@ -226,8 +225,9 @@ def signal_states(params: SourceParams) -> list[ModifiedQubit]:
     coeffs = [1.0 - alpha**2 / 2.0, alpha, alpha**2 / SQ2][: params.expansion_order + 1]
     # each entry has one nonzero term, so it is c * a as an entry-wise loop gives it
     rows = np.array(coeffs) @ _polarized_ladder(len(coeffs))
-    units = normalize_rows(2, rows.reshape(len(_POLARIZATION), -1))
-    return [ModifiedQubit(b, bit, u) for (b, bit), (u, _) in zip(_POLARIZATION, units)]
+    units, _ = normalize_rows(rows.reshape(len(_POLARIZATION), -1))
+    return [ModifiedQubit(b, bit, FockVector._of(2, u))
+            for (b, bit), u in zip(_POLARIZATION, units)]
 
 
 def ideal_signal_states() -> list[ModifiedQubit]:
@@ -310,14 +310,13 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
         if sorted(labels.tolist()) != [0, 1, 2, 3]:
             raise ParameterError("signal catalog must hold each (basis, bit) once")
         ensemble = StateEnsemble([mq.state for mq in catalog])
-        dist = _total_photon_distribution(ensemble.matrix, ensemble.states[0].mode_count)
+        dist = _total_photon_distribution(ensemble.matrix, ensemble.mode_count)
         if np.abs(dist - dist[0]).max() > 1e-12:
             raise ParameterError("catalog states differ in photon-number distribution")
         return SourceModel(params, ensemble, labels, np.ones(4), np.full(4, 0.25),
                            dist[0], dist[0])
     singlet = pdc_modified_singlet(source)
-    detected = pattern_index(2)[0]
-    bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in detected])
+    bit_of = np.array([SENDER_BIT_FOR_DETECTED.get(p, -1) for p in pattern_index(2)[0]])
     states, labels, branch_w, send = [], [], [], []
     for a, basis in enumerate(BASES):
         _, units, joint = alice_measure(singlet, basis, source)
@@ -326,33 +325,15 @@ def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceM
         accepted = bit >= 0
         branch_w.append(weights[accepted])
         send.append(0.5 * weights[accepted] / weights.sum())
-        states += [units[i] for i in true[accepted]]
+        states.append(units[true[accepted]])
         labels.append(2 * a + bit[accepted])
     w = np.concatenate(branch_w)
     total_w = sum(w.tolist())
     if total_w == 0.0:
         raise ParameterError("pair source has no accepted branches")
-    ensemble = StateEnsemble(states, w / w.sum())
+    ensemble = StateEnsemble.from_matrix(2, np.concatenate(states), w / w.sum())
     dist = (w[:, None] * _total_photon_distribution(ensemble.matrix, 2)).sum(axis=0)
     return SourceModel(source, ensemble, np.concatenate(labels), w, np.concatenate(send),
                        dist / total_w,
                        _total_photon_distribution(singlet.array[None], 4)[0])
 
-
-def pdc_accepted_branches(
-    params: SourceParams, basis: str
-) -> list[tuple[int, WeightedState]]:
-    """(bit, weighted state) of each of one basis's branches in
-    :func:`analyze`'s ensemble, in :func:`alice_measure`'s row-major order.
-
-    With perfect sender detectors this is exactly the two heralded
-    states; with efficiency below 1 extra branches appear (a multiphoton
-    arrival read as a single click), which is what breaks the two-
-    dimensional structure of the heralded catalog.
-    """
-    if params.kind != PDC or basis not in BASES:
-        raise ParameterError(f"need a pdc source and a basis of {BASES}")
-    model = analyze(params)
-    rows = zip(model.labels, model.emission_probability, model.ensemble.states)
-    return [(int(label & 1), WeightedState(state, float(weight)))
-            for label, weight, state in rows if label >> 1 == BASES.index(basis)]

@@ -39,11 +39,9 @@ from fockqkd.fock import (
     normalize,
     rotate_modes,
 )
-from fockqkd.sources import (
-    SourceParams,
-    pdc_accepted_branches,
-    pdc_modified_singlet,
-)
+from fockqkd.sources import SourceParams, pdc_modified_singlet
+
+from sender_table import pdc_accepted_branches
 
 SQ2 = math.sqrt(2.0)
 ALPHA_SQ_01 = math.sqrt(0.1)
@@ -228,7 +226,7 @@ def _grid_search_two_state_q(ensemble: StateEnsemble, step: float = 2e-5) -> flo
     # rather than the library's SVD route)
     from fockqkd.discrimination import ambient_matrix
 
-    _, raw = ambient_matrix(ensemble)
+    raw = ambient_matrix(ensemble)
     q_basis, _ = np.linalg.qr(raw.T.conj())
     coords = raw @ q_basis.conj()
     g = coords @ coords.conj().T

@@ -57,14 +57,25 @@ def pdc_ensemble(chi, eta=1.0):
 
 
 def test_ensemble_matrix_is_its_stacked_states_read_only():
+    # built by the constructor, and by from_matrix in analyze
     for ens in (wcp_ensemble(0.3), pdc_ensemble(0.1, eta=0.8)):
         stacked = np.array([s.array for s in ens.states])
         assert ens.matrix.shape == stacked.shape
         assert ens.matrix.tobytes() == stacked.tobytes()
         with pytest.raises(ValueError):
             ens.matrix[0, 0] = 0.0
-    # equality reads the states and priors alone
+    # equality reads the states and priors alone, whichever entry point
+    # built the ensemble
     assert wcp_ensemble(0.3) == wcp_ensemble(0.3) != wcp_ensemble(0.2)
+    states, priors = wcp_ensemble(0.3).states, (0.1, 0.2, 0.3, 0.4)
+    rows = np.array([v.array for v in states])
+    by_matrix = StateEnsemble.from_matrix(2, rows, priors)
+    assert StateEnsemble(states, priors) == by_matrix != StateEnsemble.from_matrix(2, rows)
+    assert (by_matrix.mode_count, by_matrix.priors, len(by_matrix)) == (2, priors, 4)
+    assert by_matrix.states == states
+    assert by_matrix.states is by_matrix.states  # built once, on first use
+    rows[0] = 0.0  # the ensemble holds a copy
+    assert by_matrix.states[0] == states[0]
 
 
 def two_states_with_overlap(s):
@@ -130,8 +141,10 @@ def test_gram_wcp_frozen_entries():
 
 def test_gram_rejects_non_unit_states():
     v = FockVector.from_terms(2, {(1, 0): 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unit norm"):
         StateEnsemble([v])
+    with pytest.raises(ValueError, match="unit norm"):
+        StateEnsemble.from_matrix(2, [v.array])
 
 
 @pytest.mark.parametrize("count, priors, reason", [
@@ -144,16 +157,25 @@ def test_ensemble_rejects_bad_states_and_priors(count, priors, reason):
     states = [ideal_bb84_state("+", 0), ideal_bb84_state("x", 0)][:count]
     with pytest.raises(ValueError, match=reason):
         StateEnsemble(states, priors)
+    with pytest.raises(ValueError, match=reason):
+        StateEnsemble.from_matrix(2, [v.array for v in states], priors)
 
 
 def test_ensemble_is_unhashable():
-    with pytest.raises(TypeError, match="unhashable type: 'StateEnsemble'"):
-        hash(analyze(SourceParams("wcp", 0.3)).ensemble)
+    for source in (SourceParams("wcp", 0.3), SourceParams("pdc", 0.1)):
+        with pytest.raises(TypeError, match="unhashable type: 'StateEnsemble'"):
+            hash(analyze(source).ensemble)
 
 
 def test_gram_rejects_mixed_mode_counts():
+    two, four = ideal_bb84_state("+", 0), FockVector(4, {(1, 0, 0, 0): 1.0})
     with pytest.raises(DimensionMismatch):
-        StateEnsemble([ideal_bb84_state("+", 0), FockVector(4, {(1, 0, 0, 0): 1.0})])
+        StateEnsemble([two, four])
+    # rows of four modes read over the two-mode index, a ragged pair, a vector
+    for mode_count, rows in ((2, [four.array]), (2, [two.array, four.array]),
+                             (2, two.array), (4, [two.array])):
+        with pytest.raises(DimensionMismatch):
+            StateEnsemble.from_matrix(mode_count, rows)
 
 
 # ------------------------------------------------------------- rank
@@ -259,7 +281,7 @@ def check_povm_invariants(povm: UsdPovm, tol_cross=1e-10, tol_psd=1e-10):
     # zero cross-talk, on the span coordinates of the ensemble itself
     from fockqkd.discrimination import ambient_matrix
 
-    _, a = ambient_matrix(povm.ensemble)
+    a = ambient_matrix(povm.ensemble)
     coords = a @ povm.span_basis.conj().T
     for i, e in enumerate(povm.conclusive_elements):
         for j, c in enumerate(coords):

@@ -387,7 +387,7 @@ def test_count_branches_agree_with_all_count_outcomes(mode_count):
             if got.state is not None
         ]
         assert index.tolist() == [k for k, _, _ in occurring]
-        assert units == [u for _, u, _ in occurring]
+        assert [u.tobytes() for u in units] == [u.array.tobytes() for _, u, _ in occurring]
         assert probs.tolist() == [w for _, _, w in occurring]
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -606,9 +606,12 @@ def test_thinning_matrix_is_binomial_thinning_bit_for_bit(modes):
 def test_normalize_rows_is_normalize_row_by_row():
     rng = np.random.default_rng(43)
     states = [random_state(rng, mode_count=3, n_terms=6) for _ in range(12)]
-    assert normalize_rows(3, [s.array for s in states]) == [normalize(s) for s in states]
+    units, nsq = normalize_rows([s.array for s in states])
+    assert not units.flags.writeable
+    got = [(FockVector._of(3, u), q) for u, q in zip(units, nsq.tolist())]
+    assert got == [normalize(s) for s in states]
     with pytest.raises(NearZeroVector):
-        normalize_rows(2, [ket(1, 0).array, np.zeros(28)])
+        normalize_rows([ket(1, 0).array, np.zeros(28)])
 
 
 _KERNELS = (

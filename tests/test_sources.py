@@ -35,14 +35,13 @@ from fockqkd.sources import (
     SourceParams,
     alice_measure,
     ideal_bb84_state,
-    pdc_accepted_branches,
     pdc_modified_singlet,
     signal_states,
     wcp_state,
 )
 
 from fock_oracle import mean_photon
-from sender_table import sender_table
+from sender_table import pdc_accepted_branches, sender_table
 
 SQ2 = math.sqrt(2.0)
 
@@ -175,7 +174,7 @@ def entry_by_entry_kets(coeffs, labels):
                 n, *fockqkd.sources._POLARIZATION[label]
             ).items():
                 row[position[pattern]] = c * a
-    return [unit.array.tobytes() for unit, _ in normalize_rows(2, rows)]
+    return [unit.tobytes() for unit in normalize_rows(rows)[0]]
 
 
 @pytest.mark.parametrize("alpha", [1e-160, 1e-9, 0.01, 0.3162, 0.9, 0.999999])
@@ -359,7 +358,7 @@ def test_accepted_branches_are_the_sender_table_entries(order, chi, eta, basis):
     params = pdc_params(chi, order=order, eta=eta)
     got = [(bit, ws.state.array.tobytes(), ws.weight.hex())
            for bit, ws in pdc_accepted_branches(params, basis)]
-    want = [(bit, state.array.tobytes(), weight.hex())
+    want = [(bit, state.tobytes(), weight.hex())
             for bit, state, weight in _reference_branches(params, basis)]
     assert got == want
     assert all(type(bit) is int for bit, _ in pdc_accepted_branches(params, basis))
@@ -441,6 +440,25 @@ def test_alice_measure_needs_two_arms_and_a_basis():
         alice_measure(ideal_bb84_state("+", 0), "+", params)
     with pytest.raises(ParameterError, match="basis must be one of"):
         alice_measure(pdc_modified_singlet(params), "z", params)
+
+
+def test_pair_source_analysis_wraps_no_branch_in_a_fock_vector(monkeypatch):
+    params = pdc_params(0.1, eta=0.8)
+    analyze(params)  # the cached kernels build their own vectors on first use
+    built = []  # the mode count of each vector made
+    wrap, init = FockVector._of, FockVector.__init__
+
+    def counted_init(self, mode_count, amps):
+        built.append(mode_count)
+        init(self, mode_count, amps)
+
+    monkeypatch.setattr(FockVector, "__init__", counted_init)
+    monkeypatch.setattr(FockVector, "_of", classmethod(
+        lambda cls, mode_count, array: built.append(mode_count) or wrap(mode_count, array)))
+    model = analyze(params)
+    # the singlet and its turn in each basis; the 28 branches are matrix rows
+    assert built == [4, 4, 4]
+    assert len(model.ensemble) == 28
 
 
 # ------------------------------------------------------------ misc

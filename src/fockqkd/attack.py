@@ -247,7 +247,9 @@ def eve_conclusive_rate(source: SourceParams | SourceModel) -> float:
     """Per-pulse probability of a conclusive identification.
 
     Uses the equal-probability unambiguous measurement averaged over the
-    priors.  A linearly dependent catalog admits no such measurement, so
+    priors; the measurement is :attr:`SourceModel.conclusive`, made once per
+    ensemble in a process and then read from its cache.  A linearly
+    dependent catalog admits no such measurement, so
     the rate is 0, reported as immune.  For the pair source below perfect
     sender detectors that says only that the heralded branches (28 states
     in 8 dimensions at eta_A = 0.8) are dependent, not that no

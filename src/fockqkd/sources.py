@@ -275,13 +275,31 @@ class SourceModel:
 
     @cached_property
     def conclusive(self) -> np.ndarray | None:
-        """Per-state conclusive probabilities of the equal-probability USD,
-        or None when the ensemble admits no unambiguous measurement;
-        computed on first use."""
-        try:
-            return usd_povm_equal(self.ensemble).conclusive_probabilities
-        except NotDiscriminable:
-            return None
+        """Read-only per-state conclusive probabilities of the
+        equal-probability USD, or None when the ensemble admits no
+        unambiguous measurement.  Read on first use from a process-wide
+        cache of the ``_CACHED`` (16) most recently used ensembles, keyed by
+        content (mode count, amplitude bytes, priors), so each ensemble is
+        measured once per process."""
+        e = self.ensemble
+        key = _Content((e.mode_count, e.matrix.tobytes(), e.priors))
+        key.ensemble = e
+        return _conclusive(key)
+
+
+class _Content(tuple):
+    """Key of the USD cache: an ensemble's mode count, amplitude bytes and
+    priors.  The ensemble rides along as ``ensemble``, outside the key."""
+
+
+@lru_cache(maxsize=_CACHED)
+def _conclusive(key: _Content) -> np.ndarray | None:
+    """What :attr:`SourceModel.conclusive` reads; a ConsistencyError of the
+    measurement propagates and is not cached."""
+    try:
+        return _frozen(usd_povm_equal(key.ensemble).conclusive_probabilities)
+    except NotDiscriminable:
+        return None
 
 
 def analyze(source: SourceParams | SourceModel | list[ModifiedQubit]) -> SourceModel:

@@ -395,6 +395,22 @@ def test_attacked_pair_source_simulate_measures_once(tmp_path, monkeypatch):
     assert fock_counts == {"project_counts": 0, "inner_product": 0, "rotate_modes": 2}
 
 
+def test_attacked_simulate_runs_of_one_source_measure_once(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, discrimination_mod, "usd_povm_equal")
+    for seed in (1, 2):
+        path = tmp_path / f"{seed}.json"
+        rc = simulate_to(
+            path,
+            ["--source", "wcp", "--alpha", "0.3", "--transmission", "0.003",
+             "--pulses", "2000", "--seed", str(seed),
+             "--attack", "intercept_resend_conclusive"],
+        )
+        assert rc == 0
+        assert not json.loads(path.read_text())["report"]["attack_unavailable"]
+    # the second run reads the first run's measurement from the cache
+    assert counts == {"usd_povm_equal": 1}
+
+
 def simulate_to(path, extra):
     argv = ["simulate", "--out", str(path)] + extra
     return cli.main(argv)

@@ -9,6 +9,7 @@ amplitudes of the diagonal-basis analysis.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -19,8 +20,15 @@ import numpy as np
 import pytest
 
 import fockqkd.sources
-from fockqkd.attack import analyze
+from fockqkd.attack import analyze, critical_transmission, eve_conclusive_rate
+from fockqkd.discrimination import (
+    ConsistencyError,
+    NotDiscriminable,
+    StateEnsemble,
+    usd_povm_equal,
+)
 from fockqkd.fock import (
+    _CACHED,
     FockVector,
     inner_product,
     normalize,
@@ -35,6 +43,7 @@ from fockqkd.sources import (
     SourceParams,
     alice_measure,
     ideal_bb84_state,
+    ideal_signal_states,
     pdc_modified_singlet,
     signal_states,
     wcp_state,
@@ -459,6 +468,111 @@ def test_pair_source_analysis_wraps_no_branch_in_a_fock_vector(monkeypatch):
     # the singlet and its turn in each basis; the 28 branches are matrix rows
     assert built == [4, 4, 4]
     assert len(model.ensemble) == 28
+
+
+# ------------------------------------------------------------ USD cache
+
+_MEASURED_SOURCES = (
+    [wcp_params(alpha, order) for alpha in (0.01, 0.316, 0.9) for order in (1, 2)]
+    + [pdc_params(chi, eta=eta) for chi in (0.1, 0.3) for eta in (1.0, 0.8)]
+    + [None]  # the ideal catalog
+)
+
+
+def count_measurements(monkeypatch):
+    """The ensembles that the cache hands to ``usd_povm_equal``, in order."""
+    measured, real = [], fockqkd.sources.usd_povm_equal
+    monkeypatch.setattr(fockqkd.sources, "usd_povm_equal",
+                        lambda ensemble: measured.append(ensemble) or real(ensemble))
+    return measured
+
+
+def _source_id(source):
+    if source is None:
+        return "ideal"
+    return (f"{source.kind}-{source.amplitude}-order{source.expansion_order}"
+            f"-eta{source.alice_detector_efficiency}")
+
+
+@pytest.mark.parametrize("source", _MEASURED_SOURCES, ids=_source_id)
+def test_cached_conclusive_is_the_direct_measurement_byte_for_byte(source):
+    model = analyze(ideal_signal_states() if source is None else source)
+    try:
+        direct = usd_povm_equal(model.ensemble).conclusive_probabilities
+    except NotDiscriminable:
+        direct = None
+    cached = model.conclusive
+    if direct is None:
+        assert cached is None
+    else:
+        assert cached.dtype == direct.dtype and cached.shape == direct.shape
+        assert cached.tobytes() == direct.tobytes()
+    # a second analysis of the same source reads the same entry
+    again = analyze(ideal_signal_states() if source is None else source)
+    assert again is not model and again.conclusive is cached
+
+
+def test_one_measurement_per_ensemble(monkeypatch):
+    measured = count_measurements(monkeypatch)
+    for _ in range(5):
+        assert analyze(wcp_params(0.316)).conclusive is not None
+    assert len(measured) == 1
+    # the rate and t* of the same source read that one measurement
+    eve_conclusive_rate(wcp_params(0.316))
+    critical_transmission(wcp_params(0.316), 0.5)
+    for _ in range(5):
+        analyze(wcp_params(0.316)).conclusive
+        analyze(pdc_params(0.1, eta=0.8)).conclusive
+    assert len(measured) == 2
+
+
+def test_priors_are_part_of_the_cache_key(monkeypatch):
+    measured = count_measurements(monkeypatch)
+    model = analyze(wcp_params(0.316))
+    ens = model.ensemble
+    skewed = StateEnsemble.from_matrix(ens.mode_count, ens.matrix, (0.4, 0.1, 0.25, 0.25))
+    other = dataclasses.replace(model, ensemble=skewed)
+    assert model.conclusive is not None and other.conclusive is not None
+    # the equal-probability rates do not read the priors, so only the
+    # count shows that the same matrix with other priors is another entry
+    assert [m.priors for m in measured] == [ens.priors, skewed.priors]
+    assert fockqkd.sources._conclusive.cache_info().currsize == 2
+
+
+def test_cached_conclusive_is_read_only():
+    probs = analyze(wcp_params(0.316)).conclusive
+    with pytest.raises(ValueError):
+        probs[0] = 0.0
+    assert analyze(wcp_params(0.316)).conclusive[0] == probs[0]
+
+
+def test_a_failed_certificate_is_not_cached(monkeypatch):
+    real, failures = fockqkd.sources.usd_povm_equal, [ConsistencyError("forced")]
+
+    def fail_once(ensemble):
+        if failures:
+            raise failures.pop()
+        return real(ensemble)
+
+    monkeypatch.setattr(fockqkd.sources, "usd_povm_equal", fail_once)
+    with pytest.raises(ConsistencyError, match="forced"):
+        analyze(wcp_params(0.316)).conclusive
+    model = analyze(wcp_params(0.316))
+    direct = real(model.ensemble).conclusive_probabilities
+    assert model.conclusive.tobytes() == direct.tobytes()
+
+
+def test_the_cache_keeps_the_most_recent_ensembles(monkeypatch):
+    measured = count_measurements(monkeypatch)
+    sources = [wcp_params(0.1 + 0.01 * k) for k in range(_CACHED + 1)]
+    for source in sources:
+        analyze(source).conclusive
+    assert len(measured) == _CACHED + 1 == 17
+    analyze(sources[1]).conclusive  # still held
+    assert len(measured) == 17
+    analyze(sources[0]).conclusive  # the least recently used, evicted
+    assert len(measured) == 18
+    assert measured[-1] == analyze(sources[0]).ensemble
 
 
 # ------------------------------------------------------------ misc
